@@ -24,21 +24,16 @@ from .engine import (
     mutate,
     repair,
     run_triea,
-    tournament_select,
 )
 from .quality import (
     FitnessBreakdown,
-    LeastSquaresAccumulator,
-    MeansDecomposition,
     QualityWeights,
     SizePreconditionError,
     TriclusterCoords,
-    ViewSlopes,
     distinction_term,
     fitness,
     jaccard_cells,
     lsl,
-    means_decomposition,
     msr3d,
     residual,
     view_slopes,
@@ -68,14 +63,11 @@ __all__ = [
     "GAConfig",
     "GenerationRecord",
     "GenerationTrace",
-    "LeastSquaresAccumulator",
-    "MeansDecomposition",
     "QualityWeights",
     "RegionOverlapError",
     "SizePreconditionError",
     "SyntheticSpec",
     "TriclusterCoords",
-    "ViewSlopes",
     "crossover",
     "decode",
     "distinction_term",
@@ -90,14 +82,12 @@ __all__ = [
     "limit_genes",
     "load_dataset",
     "lsl",
-    "means_decomposition",
     "msr3d",
     "mutate",
     "normalize_minmax",
     "repair",
     "residual",
     "run_triea",
-    "tournament_select",
     "view_slopes",
     "weights_term",
 ]

@@ -9,9 +9,10 @@ Subcommands:
 * ``evaluate`` -- score user-supplied coordinates against a dataset and print
                   the fitness breakdown as JSON on stdout.
 
-Exit codes: 0 success, 2 bad flags or undersized coordinates, 3 input format
-errors or out-of-bounds indices, 4 empty archive (outputs still written),
-5 overlapping planted regions.
+Exit codes: 0 success, 2 bad flags (a non-integer ``$TRIEA_SEED`` included),
+malformed coordinate or archive files or undersized coordinates, 3 input
+format errors or out-of-bounds indices, 4 empty archive (outputs still
+written), 5 overlapping planted regions.
 """
 
 import argparse
@@ -22,6 +23,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from statistics import fmean
 
 from . import __version__
 from .engine import Archive, GAConfig, GenerationTrace, run_triea
@@ -31,6 +33,7 @@ from .quality import (
     QualityWeights,
     SizePreconditionError,
     TriclusterCoords,
+    _check_bounds,
     fitness,
 )
 from .tensor_io import (
@@ -60,16 +63,15 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _seed(args) -> int:
+    """``--seed``, else ``$TRIEA_SEED``, else 0; ValueError for a bad variable."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(
-            f"error: {SEED_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
@@ -172,8 +174,8 @@ def _write_trace(path: Path, trace: GenerationTrace) -> None:
 
 
 def cmd_run(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
+        seed = _seed(args)
         config = GAConfig(
             population_size=args.pop,
             generations=args.generations,
@@ -232,8 +234,8 @@ def cmd_run(args) -> int:
         "duration_seconds": duration,
         "archive": {
             "count": len(archive),
-            "mean_lsl": fmean_or_none(lsls),
-            "mean_msr": fmean_or_none(msrs),
+            "mean_lsl": fmean(lsls) if lsls else None,
+            "mean_msr": fmean(msrs) if msrs else None,
         },
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -246,10 +248,6 @@ def cmd_run(args) -> int:
         return EXIT_EMPTY_ARCHIVE
     print(f"archived {len(archive)} tricluster(s) in {out_dir}")
     return EXIT_OK
-
-
-def fmean_or_none(xs):
-    return sum(xs) / len(xs) if xs else None
 
 
 def cmd_generate(args) -> int:
@@ -275,20 +273,29 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-class _JsonArchive:
-    """Read-only coverage view over a triclusters.json payload."""
+def _read_archive(path, values) -> Archive:
+    """Archive of a triclusters.json file; entries need only their coordinates.
 
-    def __init__(self, payload: dict):
-        self.covered_genes: set[int] = set()
-        self.covered_conditions: set[int] = set()
-        self.covered_times: set[int] = set()
-        for entry in payload.get("entries", []):
-            self.covered_genes.update(entry["genes"])
-            self.covered_conditions.update(entry["conditions"])
-            self.covered_times.update(entry["times"])
+    IndexError for an entry that does not fit in ``values``; KeyError,
+    TypeError or ValueError for a malformed payload.
+    """
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
+        raise ValueError('expected a JSON object with an "entries" list')
+    archive = Archive()
+    for entry in payload["entries"]:
+        coords = TriclusterCoords.from_dict(entry)
+        _check_bounds(values, coords)
+        archive.add(coords, None)
+    return archive
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        seed = _seed(args)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     try:
         tensor = load_dataset(args.input)
     except FileNotFoundError:
@@ -298,7 +305,6 @@ def cmd_evaluate(args) -> int:
     if args.normalize:
         tensor = normalize_minmax(tensor)
     if tensor.n_missing():
-        seed = args.seed if args.seed is not None else _default_seed()
         tensor = impute_missing(tensor, seed)
 
     try:
@@ -312,11 +318,12 @@ def cmd_evaluate(args) -> int:
     archive = None
     if args.archive is not None:
         try:
-            with open(args.archive, encoding="utf-8") as fh:
-                archive = _JsonArchive(json.load(fh))
+            archive = _read_archive(args.archive, tensor.values)
         except FileNotFoundError:
             return _fail(EXIT_USAGE, f"no such file: {args.archive}")
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except IndexError as exc:
+            return _fail(EXIT_INPUT, f"archive entry: {exc}")
+        except (KeyError, TypeError, ValueError) as exc:
             return _fail(EXIT_USAGE, f"invalid archive file: {exc}")
 
     try:

@@ -119,7 +119,8 @@ class GAConfig:
 @dataclass(frozen=True)
 class ArchiveEntry:
     coords: TriclusterCoords
-    breakdown: FitnessBreakdown
+    # None for an entry read back from its coordinates alone.
+    breakdown: FitnessBreakdown | None
 
 
 class Archive:
@@ -135,7 +136,9 @@ class Archive:
         self.covered_conditions: set[int] = set()
         self.covered_times: set[int] = set()
 
-    def add(self, coords: TriclusterCoords, breakdown: FitnessBreakdown) -> None:
+    def add(
+        self, coords: TriclusterCoords, breakdown: FitnessBreakdown | None
+    ) -> None:
         self.entries.append(ArchiveEntry(coords, breakdown))
         self.covered_genes.update(coords.genes)
         self.covered_conditions.update(coords.conditions)
@@ -202,6 +205,7 @@ def init_population(
 
 
 def _tournament_index(fitness_values, rng) -> int:
+    # Size-2 tournament: draw two distinct individuals, keep the fitter.
     if len(fitness_values) == 1:
         return 0
     i, j = (int(k) for k in rng.choice(len(fitness_values), size=2, replace=False))
@@ -209,15 +213,6 @@ def _tournament_index(fitness_values, rng) -> int:
     if (fitness_values[i], i) <= (fitness_values[j], j):
         return i
     return j
-
-
-def tournament_select(population, fitness_values, rng) -> Chromosome:
-    """Size-2 tournament: draw two distinct individuals, keep the fitter."""
-    if not population:
-        raise ValueError("population is empty")
-    if len(population) != len(fitness_values):
-        raise ValueError("population and fitness_values lengths differ")
-    return population[_tournament_index(list(fitness_values), rng)]
 
 
 def _crossover_segment(a: np.ndarray, b: np.ndarray, cut: int):

@@ -24,6 +24,7 @@ a bare 3D ``numpy`` array.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,11 @@ class SizePreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class TriclusterCoords:
-    """Three sorted, duplicate-free index subsets addressing a subtensor."""
+    """Three sorted, duplicate-free index subsets addressing a subtensor.
+
+    Indices must be integers (``operator.index``): a float or a string is a
+    TypeError, not silently truncated or parsed.
+    """
 
     genes: tuple[int, ...]
     conditions: tuple[int, ...]
@@ -53,7 +58,7 @@ class TriclusterCoords:
     def __post_init__(self):
         for name in ("genes", "conditions", "times"):
             raw = getattr(self, name)
-            idx = tuple(sorted({int(i) for i in raw}))
+            idx = tuple(sorted({operator.index(i) for i in raw}))
             if not idx:
                 raise ValueError(f"{name} must be non-empty")
             if idx[0] < 0:
@@ -128,37 +133,6 @@ def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
     return values[np.ix_(coords.genes, coords.conditions, coords.times)]
 
 
-@dataclass(frozen=True)
-class MeansDecomposition:
-    """All marginal means of a subtensor used by the residue formula.
-
-    Arrays are indexed by *positions within the coords subsets*, axis order
-    (gene, condition, time).
-    """
-
-    m_gc_t: np.ndarray  # per-time mean over genes x conditions, shape (T,)
-    m_gt_c: np.ndarray  # per-condition mean over genes x times, shape (C,)
-    m_ct_g: np.ndarray  # per-gene mean over conditions x times, shape (G,)
-    m_g_ct: np.ndarray  # per-(condition,time) mean over genes, shape (C, T)
-    m_c_gt: np.ndarray  # per-(gene,time) mean over conditions, shape (G, T)
-    m_t_gc: np.ndarray  # per-(gene,condition) mean over times, shape (G, C)
-    m_gct: float  # grand mean
-
-
-def means_decomposition(tensor, coords: TriclusterCoords) -> MeansDecomposition:
-    """Compute every marginal mean of the subtensor in one pass."""
-    sub = _subtensor(_values(tensor), coords)
-    return MeansDecomposition(
-        m_gc_t=sub.mean(axis=(0, 1)),
-        m_gt_c=sub.mean(axis=(0, 2)),
-        m_ct_g=sub.mean(axis=(1, 2)),
-        m_g_ct=sub.mean(axis=0),
-        m_c_gt=sub.mean(axis=1),
-        m_t_gc=sub.mean(axis=2),
-        m_gct=float(sub.mean()),
-    )
-
-
 def _residual_tensor(sub: np.ndarray) -> np.ndarray:
     # Residue of each cell against the additive (gene + condition + time)
     # model: value plus the three single-axis marginal means, minus the three
@@ -201,37 +175,49 @@ def msr3d(tensor, coords: TriclusterCoords) -> float:
     return float(np.mean(r * r))
 
 
-@dataclass(frozen=True)
-class LeastSquaresAccumulator:
-    """Running sums sufficient to fit a least-squares line slope."""
-
-    sum_x: float
-    sum_xx: float
-    sum_xy: float
-    sum_y: float
-    n_points: int
-
-    def slope(self) -> float:
-        denom = self.n_points * self.sum_xx - self.sum_x * self.sum_x
-        if denom <= 0.0:
-            raise ZeroDivisionError(
-                "slope undefined: x-coordinates carry no variance"
-            )
-        return (self.n_points * self.sum_xy - self.sum_x * self.sum_y) / denom
+# One row per view: (x axis, einsum giving each line's sum_xy, axes summed
+# for each line's sum_y, replication axis).  Axes index the gathered
+# (gene, condition, time) block.
+_VIEW_TABLE = {
+    VIEW_TIME: (0, "g,gct->t", (0, 1), 1),
+    VIEW_CONDITION: (0, "g,gct->c", (0, 2), 2),
+    VIEW_GENE: (2, "t,gct->c", (0, 2), 0),
+}
+_AXIS_NAMES = ("genes", "conditions", "times")
 
 
-@dataclass(frozen=True)
-class ViewSlopes:
-    """Fitted slopes of one view, one per coordinate of the view axis."""
-
-    axis: str  # one of VIEWS
-    slopes: tuple[float, ...]
+def _slopes(sub: np.ndarray, axis: str, mode: str) -> np.ndarray:
+    # Least-squares slope of every line of one view of a gathered block,
+    # (n*sum_xy - sum_x*sum_y) / (n*sum_xx - sum_x**2) element-wise.
+    if mode not in SLOPE_MODES:
+        raise ValueError(f"unknown slope mode {mode!r}; expected one of {SLOPE_MODES}")
+    if axis not in _VIEW_TABLE:
+        raise ValueError(f"unknown view {axis!r}; expected one of {VIEWS}")
+    x_axis, subscripts, y_axes, rep_axis = _VIEW_TABLE[axis]
+    base_n, replication = sub.shape[x_axis], sub.shape[rep_axis]
+    if base_n < 2:
+        raise SizePreconditionError(
+            f"{axis} needs at least 2 {_AXIS_NAMES[x_axis]}, got {base_n}"
+        )
+    xs = np.arange(base_n, dtype=np.float64)
+    sum_x, sum_xx = float(xs.sum()), float((xs * xs).sum())
+    sum_y = sub.sum(axis=y_axes)
+    sum_xy = np.einsum(subscripts, xs, sub)
+    if mode == MODE_OLS:
+        n, sx, sxx = base_n * replication, replication * sum_x, replication * sum_xx
+    else:
+        n, sx, sxx = base_n, sum_x, sum_xx
+    # At least two distinct x positions make the denominator positive.
+    return (n * sum_xy - sx * sum_y) / (n * sxx - sx * sx)
 
 
 def view_slopes(
     tensor, coords: TriclusterCoords, axis: str, mode: str = MODE_OLS
-) -> ViewSlopes:
-    """Fit one regression line per coordinate of a view and return the slopes.
+) -> np.ndarray:
+    """Fit one regression line per coordinate of a view; return the slopes.
+
+    The result is a float array with one slope per line, in the order of the
+    sorted coords subset that indexes the lines.
 
     Views and their scatter plots (y is always the expression value, x is a
     0-based position within the sorted coords subset, so the result does not
@@ -250,51 +236,11 @@ def view_slopes(
     without the replication factor of the second summation index; the two
     modes differ by exactly that factor.
     """
-    if mode not in SLOPE_MODES:
-        raise ValueError(f"unknown slope mode {mode!r}; expected one of {SLOPE_MODES}")
-    sub = _subtensor(_values(tensor), coords)
-    n_g, n_c, n_t = sub.shape
-
-    if axis in (VIEW_TIME, VIEW_CONDITION):
-        if n_g < 2:
-            raise SizePreconditionError(f"{axis} needs at least 2 genes, got {n_g}")
-        xs = np.arange(n_g, dtype=np.float64)
-        sum_x, sum_xx = float(xs.sum()), float((xs * xs).sum())
-        if axis == VIEW_TIME:
-            sum_y = sub.sum(axis=(0, 1))
-            sum_xy = np.einsum("g,gct->t", xs, sub)
-            replication = n_c
-        else:
-            sum_y = sub.sum(axis=(0, 2))
-            sum_xy = np.einsum("g,gct->c", xs, sub)
-            replication = n_t
-        base_n = n_g
-    elif axis == VIEW_GENE:
-        if n_t < 2:
-            raise SizePreconditionError(f"{axis} needs at least 2 times, got {n_t}")
-        xs = np.arange(n_t, dtype=np.float64)
-        sum_x, sum_xx = float(xs.sum()), float((xs * xs).sum())
-        sum_y = sub.sum(axis=(0, 2))
-        sum_xy = np.einsum("t,gct->c", xs, sub)
-        replication = n_g
-        base_n = n_t
-    else:
-        raise ValueError(f"unknown view {axis!r}; expected one of {VIEWS}")
-
-    if mode == MODE_OLS:
-        n, sx, sxx = base_n * replication, replication * sum_x, replication * sum_xx
-    else:
-        n, sx, sxx = base_n, sum_x, sum_xx
-    slopes = tuple(
-        LeastSquaresAccumulator(sx, sxx, float(xy), float(y), n).slope()
-        for xy, y in zip(sum_xy, sum_y)
-    )
-    return ViewSlopes(axis=axis, slopes=slopes)
+    return _slopes(_subtensor(_values(tensor), coords), axis, mode)
 
 
-def _mean_pairwise_distance(slopes: tuple[float, ...]) -> float:
+def _mean_pairwise_distance(s: np.ndarray) -> float:
     # Sum of |s_i - s_j| over ordered pairs, divided by (n-1)*n.
-    s = np.asarray(slopes, dtype=np.float64)
     n = s.size
     total = float(np.abs(s[:, None] - s[None, :]).sum())
     return total / ((n - 1) * n)
@@ -312,11 +258,8 @@ def lsl(tensor, coords: TriclusterCoords, mode: str = MODE_OLS) -> float:
             "lsl needs >= 2 selected indices per axis, got "
             f"({coords.n_genes}, {coords.n_conditions}, {coords.n_times})"
         )
-    t_r = _mean_pairwise_distance(view_slopes(tensor, coords, VIEW_TIME, mode).slopes)
-    c_r = _mean_pairwise_distance(
-        view_slopes(tensor, coords, VIEW_CONDITION, mode).slopes
-    )
-    g_r = _mean_pairwise_distance(view_slopes(tensor, coords, VIEW_GENE, mode).slopes)
+    sub = _subtensor(_values(tensor), coords)
+    t_r, c_r, g_r = (_mean_pairwise_distance(_slopes(sub, v, mode)) for v in VIEWS)
     return (t_r + c_r + g_r) / 3.0
 
 
@@ -351,10 +294,11 @@ def distinction_term(coords: TriclusterCoords, archive, w: QualityWeights) -> fl
     """Novelty reward against already-archived triclusters.
 
     For each axis, counts the candidate's coordinates absent from every
-    archived tricluster and weights the novel fraction.  ``archive`` is
-    anything exposing ``covered_genes`` / ``covered_conditions`` /
-    ``covered_times`` sets (or None for an empty archive); larger means more
-    novel, and the term is subtracted from fitness so novelty is rewarded.
+    archived tricluster and weights the novel fraction.  ``archive`` is an
+    :class:`~trievolve.engine.Archive`, whose ``covered_genes`` /
+    ``covered_conditions`` / ``covered_times`` sets are read, or None for an
+    empty archive; larger means more novel, and the term is subtracted from
+    fitness so novelty is rewarded.
     """
     if archive is None:
         covered_g = covered_c = covered_t = frozenset()

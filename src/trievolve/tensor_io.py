@@ -12,6 +12,7 @@ immutable after construction, so they are safe to share across threads.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,10 @@ def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
 
     Genes and conditions are ordered by first appearance, time labels by
     numeric (fallback lexical) sort.  Raises DatasetFormatError with a line
-    number for malformed or duplicate rows, and for ragged time grids where
-    a condition has no rows at all for some time point.
+    number for malformed or duplicate rows, for values that are not finite
+    numbers (``nan``/``inf`` included; an empty field marks a missing cell),
+    and for ragged time grids where a condition has no rows at all for some
+    time point.
 
     ``descriptor`` optionally declares expected axis sizes, any of
     ``{"genes": int, "conditions": int, "times": int}``; the loaded shape is
@@ -146,9 +149,11 @@ def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
                 try:
                     value = float(raw)
                 except ValueError:
+                    value = math.nan  # reported below as a bad value
+                if not math.isfinite(value):
                     raise DatasetFormatError(
                         f"{path}: line {line}: bad value {raw!r}"
-                    ) from None
+                    )
             key = (gene, cond, time)
             if key in seen_cells:
                 raise DatasetFormatError(

@@ -91,6 +91,11 @@ class TestRun:
         bad.write_text("gene,condition,time,value\na,x,1,oops\n")
         assert main(["run", "--input", str(bad), "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_finite_input_exit_3(self, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("gene,condition,time,value\na,x,1,0.5\na,x,2,nan\n")
+        assert main(["run", "--input", str(bad), "--out", str(tmp_path / "o")]) == 3
+
     def test_bad_flags_exit_2(self, dataset_csv, tmp_path):
         code = main([
             "run", "--input", str(dataset_csv), "--out", str(tmp_path / "o"),
@@ -125,6 +130,20 @@ class TestRun:
             "--seed", "5", "--generations", "3", "--n-triclusters", "1",
         ])
         assert read_json(out2 / "manifest.json")["config"]["seed"] == 5
+
+    def test_non_integer_env_seed_exit_2(self, dataset_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRIEA_SEED", "abc")
+        coords_path = tmp_path / "c.json"
+        coords_path.write_text(json.dumps(
+            {"genes": [0, 1], "conditions": [0, 1], "times": [0, 1]}
+        ))
+        assert main([
+            "run", "--input", str(dataset_csv), "--out", str(tmp_path / "o"),
+            "--generations", "3", "--n-triclusters", "1",
+        ]) == 2
+        assert main([
+            "evaluate", "--input", str(dataset_csv), "--coords", str(coords_path),
+        ]) == 2
 
 
 class TestGenerate:
@@ -240,6 +259,36 @@ class TestEvaluate:
               "--archive", str(archive_path)])
         got = json.loads(capsys.readouterr().out)
         assert got["distinction"] == 0.0
+
+    def evaluate_with_archive(self, dataset_csv, tmp_path, payload):
+        coords_path = tmp_path / "c.json"
+        coords_path.write_text(json.dumps(
+            {"genes": [0, 1], "conditions": [0, 1], "times": [0, 1]}
+        ))
+        archive_path = tmp_path / "archive.json"
+        archive_path.write_text(json.dumps(payload))
+        return main([
+            "evaluate", "--input", str(dataset_csv), "--coords", str(coords_path),
+            "--archive", str(archive_path),
+        ])
+
+    @pytest.mark.parametrize("payload", [
+        [{"genes": [0, 1], "conditions": [0, 1], "times": [0, 1]}],
+        {"entries": {"genes": [0, 1], "conditions": [0, 1], "times": [0, 1]}},
+        {"entries": [[0, 1]]},
+        {"entries": [{"genes": [0, 1], "conditions": [0, 1]}]},
+    ])
+    def test_malformed_archive_exit_2(self, dataset_csv, tmp_path, payload):
+        assert self.evaluate_with_archive(dataset_csv, tmp_path, payload) == 2
+
+    @pytest.mark.parametrize("genes", [[-1, 0], [0, 1.5], ["0", "1"]])
+    def test_archive_bad_indices_exit_2(self, dataset_csv, tmp_path, genes):
+        payload = {"entries": [{"genes": genes, "conditions": [0, 1], "times": [0, 1]}]}
+        assert self.evaluate_with_archive(dataset_csv, tmp_path, payload) == 2
+
+    def test_archive_out_of_bounds_exit_3(self, dataset_csv, tmp_path):
+        payload = {"entries": [{"genes": [0, 1], "conditions": [0, 1], "times": [0, 5]}]}
+        assert self.evaluate_with_archive(dataset_csv, tmp_path, payload) == 3
 
     def test_undersized_coords_exit_2(self, dataset_csv, tmp_path):
         coords_path = tmp_path / "c.json"

@@ -12,7 +12,6 @@ from trievolve import (
     fitness,
     jaccard_cells,
     lsl,
-    means_decomposition,
     msr3d,
     residual,
     view_slopes,
@@ -128,15 +127,6 @@ class TestResidual:
             assert abs(total) <= 1e-6 * max(scale, 1e-12)
 
 
-class TestMeansDecomposition:
-    def test_family_averages_equal_grand_mean(self, rng):
-        values = rng.random((6, 5, 4))
-        coords = random_coords(rng, (6, 5, 4))
-        m = means_decomposition(values, coords)
-        for family in (m.m_gc_t, m.m_gt_c, m.m_ct_g, m.m_g_ct, m.m_c_gt, m.m_t_gc):
-            assert np.mean(family) == pytest.approx(m.m_gct, rel=1e-9)
-
-
 class TestMsr3d:
     def test_constant_zero(self):
         coords = TriclusterCoords((0, 1), (0, 1), (0, 1))
@@ -173,9 +163,8 @@ class TestViewSlopes:
         values = np.full((4, 3, 4), 2.5)
         for axis in ("time-view", "condition-view", "gene-view"):
             for mode in ("ols", "paper-literal"):
-                vs = view_slopes(values, coords, axis, mode)
-                assert vs.axis == axis
-                assert all(s == pytest.approx(0.0) for s in vs.slopes)
+                slopes = view_slopes(values, coords, axis, mode)
+                assert all(s == pytest.approx(0.0) for s in slopes)
 
     def test_linear_in_gene_position_gives_slope_two(self):
         # x(g,c,t) = 2 * gene position; every time-view line has slope 2.
@@ -183,8 +172,8 @@ class TestViewSlopes:
             2.0 * np.arange(5)[:, None, None], (5, 3, 4)
         ).copy()
         coords = TriclusterCoords((0, 1, 2, 3, 4), (0, 1, 2), (0, 1, 2, 3))
-        vs = view_slopes(values, coords, "time-view", "ols")
-        assert all(s == pytest.approx(2.0) for s in vs.slopes)
+        slopes = view_slopes(values, coords, "time-view", "ols")
+        assert all(s == pytest.approx(2.0) for s in slopes)
 
     def test_positions_not_raw_indices(self):
         # Slopes must not depend on which absolute rows were selected.
@@ -197,13 +186,13 @@ class TestViewSlopes:
         big2 = np.zeros((30, 20, 30))
         big2[np.ix_(hi.genes, hi.conditions, hi.times)] = block
         for axis in ("time-view", "condition-view", "gene-view"):
-            a = view_slopes(big, lo, axis, "ols").slopes
-            b = view_slopes(big2, hi, axis, "ols").slopes
+            a = view_slopes(big, lo, axis, "ols")
+            b = view_slopes(big2, hi, axis, "ols")
             assert a == pytest.approx(b)
 
     def test_frozen_time_view(self):
-        vs = view_slopes(FROZEN_TENSOR, FROZEN_COORDS, "time-view", "ols")
-        assert vs.slopes == pytest.approx(FROZEN_TIME_SLOPES_OLS, abs=1e-12)
+        slopes = view_slopes(FROZEN_TENSOR, FROZEN_COORDS, "time-view", "ols")
+        assert slopes == pytest.approx(FROZEN_TIME_SLOPES_OLS, abs=1e-12)
 
     @pytest.mark.parametrize("axis", ["time-view", "condition-view", "gene-view"])
     @pytest.mark.parametrize("mode", ["ols", "paper-literal"])
@@ -211,15 +200,15 @@ class TestViewSlopes:
         values = rng.random((5, 4, 4))
         for _ in range(40):
             coords = random_coords(rng, (5, 4, 4))
-            got = view_slopes(values, coords, axis, mode).slopes
+            got = view_slopes(values, coords, axis, mode)
             want = naive.view_slopes_naive(values, coords, axis, mode)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_modes_differ_by_replication_factor(self, rng):
         values = rng.random((5, 4, 4))
         coords = random_coords(rng, (5, 4, 4))
-        literal = view_slopes(values, coords, "time-view", "paper-literal").slopes
-        exact = view_slopes(values, coords, "time-view", "ols").slopes
+        literal = view_slopes(values, coords, "time-view", "paper-literal")
+        exact = view_slopes(values, coords, "time-view", "ols")
         for lit, ex in zip(literal, exact):
             assert lit == pytest.approx(ex * coords.n_conditions, rel=1e-9)
 

@@ -85,9 +85,11 @@ class TestLoadDataset:
             load_dataset(p)
 
     def test_bad_value_reports_line(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", ["a,x,1,0.5", "a,x,2,abc"])
-        with pytest.raises(DatasetFormatError, match="line 3.*abc"):
-            load_dataset(p)
+        # Non-finite values would turn every fitness into nan.
+        for raw in ("abc", "nan", "inf", "-inf"):
+            p = write_csv(tmp_path / "d.csv", ["a,x,1,0.5", f"a,x,2,{raw}"])
+            with pytest.raises(DatasetFormatError, match=f"line 3.*{raw}"):
+                load_dataset(p)
 
     def test_duplicate_triple(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["a,x,1,0.5", "a,x,1,0.6"])
