@@ -9,7 +9,8 @@ Subcommands:
 * ``evaluate`` -- score user-supplied coordinates against a dataset and print
                   the fitness breakdown as JSON on stdout.
 
-Exit codes: 0 success, 2 bad flags (a non-integer ``$TRIEA_SEED`` included),
+Exit codes: 0 success, 2 bad flags (a negative seed or a non-integer
+``$TRIEA_SEED`` included),
 malformed coordinate or archive files or undersized coordinates, 3 input
 format errors or out-of-bounds indices, 4 empty archive (outputs still
 written), 5 overlapping planted regions.
@@ -64,14 +65,21 @@ def _fail(code: int, message: str) -> int:
 
 
 def _seed(args) -> int:
-    """``--seed``, else ``$TRIEA_SEED``, else 0; ValueError for a bad variable."""
+    """``--seed``, else ``$TRIEA_SEED``, else 0; ValueError for a negative
+    seed or a non-integer variable."""
     if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed, source = int(raw), SEED_ENV_VAR
+        except ValueError:
+            raise ValueError(
+                f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
+            ) from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
@@ -224,6 +232,16 @@ def cmd_run(args) -> int:
 
     lsls = [e.breakdown.lsl for e in archive]
     msrs = [e.breakdown.msr for e in archive]
+    runs = []
+    for k, trace in enumerate(traces):
+        best = trace.records[-1].best
+        runs.append({
+            "index": k + 1,  # the run's trace is trace_<index>.csv
+            "accepted": config.accepts(best),
+            "best_lsl": best.lsl,
+            "evaluations": trace.evaluations,
+            "memo_hits": trace.memo_hits,
+        })
     manifest = {
         "tool_version": __version__,
         "input": str(args.input),
@@ -237,6 +255,7 @@ def cmd_run(args) -> int:
             "mean_lsl": fmean(lsls) if lsls else None,
             "mean_msr": fmean(msrs) if msrs else None,
         },
+        "runs": runs,
     }
     _write_json(out_dir / "manifest.json", manifest)
 

@@ -11,6 +11,11 @@ One shared seeded generator drives a whole run in a fixed call order, so a
 (tensor, config, seed) triple reproduces archives and traces bit for bit.
 Fitness evaluation consumes no randomness and may be parallelized as long as
 results are collected in population order.
+
+Scores are memoised per run: fitness is pure and a run scores every candidate
+against one frozen archive snapshot, so each distinct chromosome is decoded
+and scored once and later copies reuse its breakdown.  The memo dies with
+the run, because the next run sees a grown archive.
 """
 
 from dataclasses import dataclass, field
@@ -75,11 +80,10 @@ def decode(chrom: Chromosome) -> TriclusterCoords:
             f"chromosome has segment sizes {counts}; repair must run first"
         )
     sg, sc, st = chrom.segment_slices()
-    x, y, _ = chrom.segments
     return TriclusterCoords(
-        genes=tuple(int(i) for i in np.flatnonzero(chrom.bits[sg])),
-        conditions=tuple(int(i) for i in np.flatnonzero(chrom.bits[sc])),
-        times=tuple(int(i) for i in np.flatnonzero(chrom.bits[st])),
+        genes=tuple(np.flatnonzero(chrom.bits[sg]).tolist()),
+        conditions=tuple(np.flatnonzero(chrom.bits[sc]).tolist()),
+        times=tuple(np.flatnonzero(chrom.bits[st]).tolist()),
     )
 
 
@@ -110,10 +114,16 @@ class GAConfig:
             raise ValueError(f"delta must be >= 0, got {self.delta}")
         if self.slope_mode not in SLOPE_MODES:
             raise ValueError(f"slope_mode must be one of {SLOPE_MODES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.elite_count <= max(1, self.population_size - 1):
             raise ValueError(
                 "elite_count must satisfy 1 <= elite_count < population_size"
             )
+
+    def accepts(self, breakdown: FitnessBreakdown) -> bool:
+        """The sequential-covering guard: LSL strictly below ``delta``."""
+        return breakdown.lsl < self.delta
 
 
 @dataclass(frozen=True)
@@ -162,9 +172,15 @@ class GenerationRecord:
 @dataclass(frozen=True)
 class GenerationTrace:
     """Per-generation convergence record of one run; generation 0 is the
-    freshly initialized population."""
+    freshly initialized population.
+
+    ``evaluations`` counts the distinct chromosomes scored and ``memo_hits``
+    the candidates that reused an earlier score of the same run.
+    """
 
     records: tuple[GenerationRecord, ...]
+    evaluations: int = 0
+    memo_hits: int = 0
 
     def best_f_series(self) -> list[float]:
         return [r.best_f for r in self.records]
@@ -270,14 +286,20 @@ def repair(chrom: Chromosome, rng) -> Chromosome:
     return out
 
 
-def _evaluate(values, chrom, config, archive):
-    return fitness(
-        values,
-        decode(chrom),
-        config.quality_weights,
-        archive,
-        config.slope_mode,
-    )
+def _evaluate(values, chrom, config, archive, memo):
+    # ``memo`` maps a chromosome's bits to its breakdown for one run.
+    key = chrom.bits.tobytes()
+    breakdown = memo.get(key)
+    if breakdown is None:
+        breakdown = fitness(
+            values,
+            decode(chrom),
+            config.quality_weights,
+            archive,
+            config.slope_mode,
+        )
+        memo[key] = breakdown
+    return breakdown
 
 
 def _best_index(fitness_values) -> int:
@@ -301,8 +323,10 @@ def evolve_one_tricluster(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
+    memo: dict[bytes, FitnessBreakdown] = {}
     population = init_population(dims, config, archive, rng)
-    evals = [_evaluate(values, ch, config, archive) for ch in population]
+    evals = [_evaluate(values, ch, config, archive, memo) for ch in population]
+    lookups = len(evals)
     f_vals = [e.f for e in evals]
 
     best_i = _best_index(f_vals)
@@ -327,7 +351,8 @@ def evolve_one_tricluster(
                     break
                 child = repair(mutate(child, config.p_mutation, rng), rng)
                 next_pop.append(child)
-                next_evals.append(_evaluate(values, child, config, archive))
+                next_evals.append(_evaluate(values, child, config, archive, memo))
+                lookups += 1
         population, evals = next_pop, next_evals
         f_vals = [e.f for e in evals]
         gen_best = _best_index(f_vals)
@@ -337,7 +362,8 @@ def evolve_one_tricluster(
         records.append(
             GenerationRecord(gen, best_eval.f, fmean(f_vals), best_eval)
         )
-    return (best_coords, best_eval), GenerationTrace(tuple(records))
+    trace = GenerationTrace(tuple(records), len(memo), lookups - len(memo))
+    return (best_coords, best_eval), trace
 
 
 def run_triea(tensor, config: GAConfig, rng=None, trace_sink=None) -> Archive:
@@ -357,6 +383,6 @@ def run_triea(tensor, config: GAConfig, rng=None, trace_sink=None) -> Archive:
         )
         if trace_sink is not None:
             trace_sink(k, trace)
-        if breakdown.lsl < config.delta:
+        if config.accepts(breakdown):
             archive.add(coords, breakdown)
     return archive

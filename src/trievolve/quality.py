@@ -130,23 +130,31 @@ def _check_bounds(values: np.ndarray, coords: TriclusterCoords) -> None:
 
 def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
     _check_bounds(values, coords)
-    return values[np.ix_(coords.genes, coords.conditions, coords.times)]
+    # Three chained takes build the same C-contiguous block as
+    # ``values[np.ix_(genes, conditions, times)]`` in about half the time.
+    # The block must stay C-contiguous: the reductions of msr3d and lsl
+    # round differently over another memory layout.
+    return (
+        values.take(coords.genes, 0)
+        .take(coords.conditions, 1)
+        .take(coords.times, 2)
+    )
 
 
 def _residual_tensor(sub: np.ndarray) -> np.ndarray:
     # Residue of each cell against the additive (gene + condition + time)
     # model: value plus the three single-axis marginal means, minus the three
-    # pairwise marginal means, minus the grand mean.
-    return (
-        sub
-        + sub.mean(axis=(0, 1))[None, None, :]
-        + sub.mean(axis=(0, 2))[None, :, None]
-        + sub.mean(axis=(1, 2))[:, None, None]
-        - sub.mean(axis=0)[None, :, :]
-        - sub.mean(axis=1)[:, None, :]
-        - sub.mean(axis=2)[:, :, None]
-        - sub.mean()
-    )
+    # pairwise marginal means, minus the grand mean.  Accumulated in place,
+    # term by term in this order, so the result is bit-identical to the
+    # left-to-right sum of the eight terms.
+    r = sub + sub.mean(axis=(0, 1))[None, None, :]
+    r += sub.mean(axis=(0, 2))[None, :, None]
+    r += sub.mean(axis=(1, 2))[:, None, None]
+    r -= sub.mean(axis=0)[None, :, :]
+    r -= sub.mean(axis=1)[:, None, :]
+    r -= sub.mean(axis=2)[:, :, None]
+    r -= sub.mean()
+    return r
 
 
 def residual(tensor, coords: TriclusterCoords, g: int, c: int, t: int) -> float:
@@ -170,9 +178,9 @@ def msr3d(tensor, coords: TriclusterCoords) -> float:
     Zero iff the subtensor is exactly additive across its three axes; the
     measure is invariant under constant shifts and scales quadratically.
     """
-    sub = _subtensor(_values(tensor), coords)
-    r = _residual_tensor(sub)
-    return float(np.mean(r * r))
+    r = _residual_tensor(_subtensor(_values(tensor), coords))
+    r *= r
+    return float(r.mean())
 
 
 # One row per view: (x axis, einsum giving each line's sum_xy, axes summed

@@ -319,6 +319,11 @@ class SyntheticSpec:
     def from_json(cls, path) -> "SyntheticSpec":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"{path}: invalid synthetic spec: expected a JSON object, "
+                f"got {type(raw).__name__}"
+            )
         try:
             planted = tuple(
                 (TriclusterCoords.from_dict(p), p["pattern"])

@@ -55,6 +55,27 @@ class TestRun:
         assert manifest["config"]["seed"] == 3
         assert manifest["archive"]["count"] == len(payload["entries"])
         assert len(manifest["input_sha256"]) == 64
+        runs = manifest["runs"]
+        assert [r["index"] for r in runs] == [1, 2, 3]
+        accepted = [r for r in runs if r["accepted"]]
+        assert [r["best_lsl"] for r in accepted] == [e["lsl"] for e in payload["entries"]]
+        # pop 20, 6 generations, one elite: 20 + 5 * 19 candidates per run
+        for r in runs:
+            assert r["accepted"] == (r["best_lsl"] < 1050.0)
+            assert r["evaluations"] >= 1 and r["memo_hits"] >= 0
+            assert r["evaluations"] + r["memo_hits"] == 20 + 5 * 19
+
+    def test_manifest_lists_rejected_runs(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--seed", "1", "--generations", "3", "--n-triclusters", "2",
+            "--delta", "0",
+        ])
+        assert code == 4
+        runs = read_json(out / "manifest.json")["runs"]
+        assert [(r["index"], r["accepted"]) for r in runs] == [(1, False), (2, False)]
+        assert all(r["best_lsl"] >= 0.0 for r in runs)
 
     def test_byte_identical_reruns(self, dataset_csv, tmp_path):
         outs = []
@@ -131,6 +152,27 @@ class TestRun:
         ])
         assert read_json(out2 / "manifest.json")["config"]["seed"] == 5
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_exit_2(self, dataset_csv, tmp_path, monkeypatch, source):
+        flag = []
+        if source == "flag":
+            flag = ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("TRIEA_SEED", "-1")
+        coords_path = tmp_path / "c.json"
+        coords_path.write_text(json.dumps(
+            {"genes": [0, 1], "conditions": [0, 1], "times": [0, 1]}
+        ))
+        assert main([
+            "run", "--input", str(dataset_csv), "--out", str(tmp_path / "o"),
+            "--generations", "3", "--n-triclusters", "1", *flag,
+        ]) == 2
+        assert not (tmp_path / "o").exists()
+        assert main([
+            "evaluate", "--input", str(dataset_csv), "--coords", str(coords_path),
+            *flag,
+        ]) == 2
+
     def test_non_integer_env_seed_exit_2(self, dataset_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIEA_SEED", "abc")
         coords_path = tmp_path / "c.json"
@@ -183,6 +225,12 @@ class TestGenerate:
         spec_path = tmp_path / "spec.json"
         payload = self.spec_payload()
         payload["planted"][0]["pattern"] = "fractal"
+        spec_path.write_text(json.dumps(payload))
+        assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("payload", [[], "x"])
+    def test_non_object_spec_exit_2(self, tmp_path, payload):
+        spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(payload))
         assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
 

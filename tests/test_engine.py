@@ -19,6 +19,7 @@ from trievolve import (
     repair,
     run_triea,
 )
+from trievolve import engine
 from trievolve.engine import _crossover_segment, _tournament_index
 
 from conftest import random_coords
@@ -262,6 +263,42 @@ class TestEvolve:
         assert coords.n_conditions >= 2
         assert coords.n_times >= 2
 
+    @pytest.mark.parametrize("elite_count", [1, 3])
+    def test_each_distinct_chromosome_scored_once(
+        self, small_tensor, monkeypatch, elite_count
+    ):
+        scored = []
+        real_fitness = engine.fitness
+
+        def counting_fitness(values, coords, *args):
+            scored.append(coords)
+            return real_fitness(values, coords, *args)
+
+        monkeypatch.setattr(engine, "fitness", counting_fitness)
+        config = GAConfig(
+            population_size=12, generations=25, seed=6, elite_count=elite_count
+        )
+        _, trace = evolve_one_tricluster(small_tensor, config)
+        assert len(scored) == len(set(scored)) == trace.evaluations
+        assert trace.memo_hits > 0
+        p, g = config.population_size, config.generations
+        assert trace.evaluations + trace.memo_hits == p + (g - 1) * (p - elite_count)
+
+    def test_memo_leaves_results_unchanged(self, small_tensor, monkeypatch):
+        config = GAConfig(generations=20, seed=8)
+        memoised = evolve_one_tricluster(small_tensor, config)
+
+        def fresh_evaluate(values, chrom, config, archive, memo):
+            return engine.fitness(
+                values, engine.decode(chrom), config.quality_weights, archive,
+                config.slope_mode,
+            )
+
+        monkeypatch.setattr(engine, "_evaluate", fresh_evaluate)
+        unmemoised = evolve_one_tricluster(small_tensor, config)
+        assert memoised[0] == unmemoised[0]
+        assert memoised[1].records == unmemoised[1].records
+
     def test_axis_of_one_rejected(self):
         with pytest.raises(ValueError):
             evolve_one_tricluster(np.zeros((4, 1, 4)), GAConfig(generations=2))
@@ -371,6 +408,11 @@ class TestConfigValidation:
     def test_slope_mode(self):
         with pytest.raises(ValueError):
             GAConfig(slope_mode="huber")
+
+    def test_seed_nonnegative(self):
+        GAConfig(seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            GAConfig(seed=-1)
 
     def test_delta_nonnegative(self):
         GAConfig(delta=0.0)  # zero is legal: empty-archive threshold floor
