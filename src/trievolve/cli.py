@@ -12,14 +12,16 @@ Subcommands:
 Exit codes: 0 success, 2 bad flags (a negative seed or a non-integer
 ``$TRIEA_SEED`` included),
 malformed coordinate or archive files or undersized coordinates, 3 input
-format errors or out-of-bounds indices, 4 empty archive (outputs still
-written), 5 overlapping planted regions.
+format errors, out-of-bounds indices or a non-finite score (values too large
+to score; JSON has no infinity), 4 empty archive (outputs still written),
+5 overlapping planted regions.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -157,8 +159,16 @@ def _sha256(path) -> str:
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _non_finite_score(breakdown: FitnessBreakdown) -> str | None:
+    """``name = value`` of the breakdown's first non-finite score, or None."""
+    for name, value in breakdown.to_dict().items():
+        if not math.isfinite(value):
+            return f"{name} = {value!r}"
+    return None
 
 
 def _archive_payload(archive: Archive, tensor: ExpressionTensor) -> dict:
@@ -225,6 +235,13 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
     duration = time.monotonic() - started
+    for k, trace in enumerate(traces):
+        bad = _non_finite_score(trace.records[-1].best)
+        if bad is not None:
+            return _fail(
+                EXIT_INPUT,
+                f"run {k + 1} scored a non-finite {bad}; rescale the input values",
+            )
 
     _write_json(out_dir / "triclusters.json", _archive_payload(archive, tensor))
     for k, trace in enumerate(traces):
@@ -353,7 +370,10 @@ def cmd_evaluate(args) -> int:
         return _fail(EXIT_USAGE, str(exc))
     except IndexError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    print(json.dumps(breakdown.to_dict()))
+    bad = _non_finite_score(breakdown)
+    if bad is not None:
+        return _fail(EXIT_INPUT, f"non-finite score {bad}; rescale the input values")
+    print(json.dumps(breakdown.to_dict(), allow_nan=False))
     return EXIT_OK
 
 

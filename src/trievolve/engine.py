@@ -18,6 +18,7 @@ and scored once and later copies reuse its breakdown.  The memo dies with
 the run, because the next run sees a grown archive.
 """
 
+import math
 from dataclasses import dataclass, field
 from statistics import fmean
 
@@ -109,11 +110,14 @@ class GAConfig:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        # delta = 0 is allowed: it legitimately yields an empty archive.
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        # delta = 0 is allowed: it legitimately yields an empty archive.  An
+        # infinite one could not be written to the JSON manifest.
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.slope_mode not in SLOPE_MODES:
             raise ValueError(f"slope_mode must be one of {SLOPE_MODES}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.elite_count <= max(1, self.population_size - 1):

@@ -13,13 +13,18 @@ immutable after construction, so they are safe to share across threads.
 import csv
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, count, islice, product
 
 import numpy as np
 
 from .quality import TriclusterCoords
 
 CSV_HEADER = ("gene", "condition", "time", "value")
+
+# Rows parsed (or written) per step of the CSV reader and writer.
+_CHUNK_ROWS = 32768
 
 PATTERN_CONSTANT = "constant"
 PATTERN_ADDITIVE = "additive"
@@ -107,19 +112,25 @@ def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
     number for malformed or duplicate rows, for values that are not finite
     numbers (``nan``/``inf`` included; an empty field marks a missing cell),
     and for ragged time grids where a condition has no rows at all for some
-    time point.
+    time point.  The reported line is the first offending one in the file;
+    on a line with several faults the field count is reported first, then an
+    empty label, then the value, then a duplicate.
+
+    Rows are read by ``csv.reader`` in chunks of a fixed number of rows, each
+    turned into numpy columns before the next is read, so memory is bounded
+    by one chunk plus the columns and the tensor; reading stops at the first
+    chunk that holds an error.
 
     ``descriptor`` optionally declares expected axis sizes, any of
     ``{"genes": int, "conditions": int, "times": int}``; the loaded shape is
     checked against it and a mismatch raises DatasetFormatError.
     """
-    genes: list[str] = []
-    conditions: list[str] = []
-    gene_set: set[str] = set()
-    cond_set: set[str] = set()
-    seen_cells: dict[tuple[str, str, str], float | None] = {}
-    times_seen: set[str] = set()
-    cond_times: dict[str, set[str]] = {}
+    # Label -> axis index in order of first appearance, one dict per axis.
+    axes: tuple[dict[str, int], dict[str, int], dict[str, int]] = ({}, {}, {})
+    parts = []
+    errors: list[tuple[int, int, str]] = []
+    failure = None
+    n_rows = 0
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -132,66 +143,59 @@ def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
                 f"{path}: line 1: header must be exactly "
                 f"{','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 4:
-                raise DatasetFormatError(
-                    f"{path}: line {line}: expected 4 fields, got {len(row)}"
-                )
-            gene, cond, time, raw = row
-            if not gene or not cond or not time:
-                raise DatasetFormatError(
-                    f"{path}: line {line}: empty gene/condition/time label"
-                )
-            if raw == "":
-                value = None
-            else:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = math.nan  # reported below as a bad value
-                if not math.isfinite(value):
-                    raise DatasetFormatError(
-                        f"{path}: line {line}: bad value {raw!r}"
-                    )
-            key = (gene, cond, time)
-            if key in seen_cells:
-                raise DatasetFormatError(
-                    f"{path}: line {line}: duplicate entry for "
-                    f"gene={gene!r} condition={cond!r} time={time!r}"
-                )
-            seen_cells[key] = value
-            if gene not in gene_set:
-                gene_set.add(gene)
-                genes.append(gene)
-            if cond not in cond_set:
-                cond_set.add(cond)
-                conditions.append(cond)
-            times_seen.add(time)
-            cond_times.setdefault(cond, set()).add(time)
+        while True:
+            # Each row's fields, then the row's number in the chunk, go into
+            # one flat list: no per-row list outlives its row (32k live lists
+            # would set off full garbage collections).  extend keeps the rows
+            # read before a failing one, whose faults are reported first.
+            flat: list = []
+            try:
+                flat.extend(chain.from_iterable(chain.from_iterable(
+                    zip(islice(reader, _CHUNK_ROWS), zip(count()))
+                )))
+            except (csv.Error, ValueError, OSError) as exc:  # decoding included
+                failure = exc
+            columns, chunk_errors = _parse_chunk(flat, n_rows, axes)
+            parts.append(columns)
+            errors += chunk_errors
+            n_rows += len(columns[0])
+            if errors or failure is not None or len(columns[0]) < _CHUNK_ROWS:
+                break
 
-    if not seen_cells:
+    gi, ci, ti, present, present_values = (np.concatenate(c) for c in zip(*parts))
+    genes, conditions, first_times = (list(pos) for pos in axes)
+    times = _sorted_time_labels(first_times)
+    rank = np.empty(len(times), dtype=np.intp)
+    rank[[axes[2][t] for t in times]] = np.arange(len(times))
+    ti = rank[ti]
+    shape = (len(genes), len(conditions), len(times))
+
+    cells = _cell_index(gi, ci, ti, shape)
+    dup = _first_repeat(cells)
+    if dup is not None:
+        errors.append((
+            dup, 3,
+            f"duplicate entry for gene={genes[gi[dup]]!r} "
+            f"condition={conditions[ci[dup]]!r} time={times[ti[dup]]!r}",
+        ))
+    if errors:
+        row, _, detail = min(errors)
+        raise DatasetFormatError(f"{path}: line {_line_of_row(path, row)}: {detail}")
+    if failure is not None:
+        raise failure
+    if not n_rows:
         raise DatasetFormatError(f"{path}: no data rows")
 
-    times = _sorted_time_labels(times_seen)
-    for cond in conditions:
-        gaps = [t for t in times if t not in cond_times[cond]]
-        if gaps:
-            raise DatasetFormatError(
-                f"{path}: ragged time grid: condition {cond!r} has no rows "
-                f"for time point(s) {', '.join(repr(t) for t in gaps)}"
-            )
-
-    g_pos = {g: i for i, g in enumerate(genes)}
-    c_pos = {c: i for i, c in enumerate(conditions)}
-    t_pos = {t: i for i, t in enumerate(times)}
-    shape = (len(genes), len(conditions), len(times))
-    values = np.full(shape, np.nan)
-    mask = np.ones(shape, dtype=bool)
-    for (gene, cond, time), value in seen_cells.items():
-        if value is not None:
-            values[g_pos[gene], c_pos[cond], t_pos[time]] = value
-            mask[g_pos[gene], c_pos[cond], t_pos[time]] = False
+    grid = np.zeros(shape[1:], dtype=bool)
+    grid[ci, ti] = True
+    full = grid.all(axis=1)
+    if not full.all():
+        c = int(np.argmin(full))
+        gaps = [times[t] for t in np.flatnonzero(~grid[c])]
+        raise DatasetFormatError(
+            f"{path}: ragged time grid: condition {conditions[c]!r} has no rows "
+            f"for time point(s) {', '.join(repr(t) for t in gaps)}"
+        )
 
     if descriptor:
         for key, got in zip(("genes", "conditions", "times"), shape):
@@ -200,22 +204,131 @@ def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
                 raise DatasetFormatError(
                     f"{path}: descriptor expects {want} {key}, file has {got}"
                 )
+
+    values = np.full(shape, np.nan)
+    mask = np.ones(shape, dtype=bool)
+    filled = cells[present]
+    values.reshape(-1)[filled] = present_values
+    mask.reshape(-1)[filled] = False
     return ExpressionTensor(values, tuple(genes), tuple(conditions), tuple(times), mask)
 
 
+def _parse_chunk(flat, offset, axes):
+    """Columns ``(gene, condition, first-seen time, present, value)`` of a
+    chunk of data rows, and its row faults as ``(row, rank, detail)``.
+
+    ``flat`` holds each row's fields followed by the row's number in the
+    chunk (an int); ``offset`` is the index of the chunk's first row; ``axes``
+    get the chunk's new labels.  A row with the wrong field count ends the
+    chunk.
+    """
+    errors = []
+    n = flat[-1] + 1 if flat else 0
+    # Every row has 4 fields exactly when the numbers sit at every 5th place.
+    if len(flat) != 5 * n or flat[4::5] != list(range(n)):
+        lengths = _row_lengths(flat)
+        n = next(i for i, got in enumerate(lengths) if got != 4)
+        errors.append((offset + n, 0, f"expected 4 fields, got {lengths[n]}"))
+        del flat[5 * n:]
+    labels = (flat[0::5], flat[1::5], flat[2::5])
+    raws = flat[3::5]
+
+    indices = []
+    for column, pos in zip(labels, axes):
+        for label in dict.fromkeys(column):
+            pos.setdefault(label, len(pos))
+        indices.append(np.fromiter(map(pos.__getitem__, column), np.intp, n))
+    if any("" in pos for pos in axes):
+        empty = min(column.index("") for column in labels if "" in column)
+        errors.append((offset + empty, 1, "empty gene/condition/time label"))
+
+    present = np.fromiter(map(bool, raws), bool, n)
+    try:
+        values = np.fromiter(
+            map(float, filter(None, raws)), np.float64, n - raws.count("")
+        )
+        clean = bool(np.isfinite(values).all())
+    except ValueError:
+        clean = False
+    if not clean:
+        values = np.empty(0)
+        bad = _first_bad_value(raws)
+        errors.append((offset + bad, 2, f"bad value {raws[bad]!r}"))
+    return (*indices, present, values), errors
+
+
+def _row_lengths(flat) -> list[int]:
+    """Field count of each row of a flat list of fields and row numbers."""
+    lengths, start = [], 0
+    for i, field in enumerate(flat):
+        if type(field) is int:
+            lengths.append(i - start)
+            start = i + 1
+    return lengths
+
+
+def _first_bad_value(raws) -> int:
+    """Index of the first field that is not empty and not a finite float."""
+    for i, raw in enumerate(raws):
+        if raw:
+            try:
+                value = float(raw)
+            except ValueError:
+                return i
+            if not math.isfinite(value):
+                return i
+    raise AssertionError("no bad value in the fields")
+
+
+def _cell_index(gi, ci, ti, shape) -> np.ndarray:
+    """Row-major cell number of each row; equal rows get equal numbers.
+
+    When the shape has more cells than an int64 can count (only a ragged
+    file of millions of rows can declare that many), the (condition, time)
+    pairs are renumbered densely first so the numbers cannot wrap.
+    """
+    n_g, n_c, n_t = shape
+    if n_g * n_c * n_t <= np.iinfo(np.int64).max:
+        return (gi * n_c + ci) * n_t + ti
+    pairs = np.unique(ci * n_t + ti, return_inverse=True)[1].reshape(-1)
+    return gi * (int(pairs.max()) + 1) + pairs
+
+
+def _first_repeat(keys) -> int | None:
+    """Index of the first element equal to an earlier one, or None."""
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(later.min()) if later.size else None
+
+
+def _line_of_row(path, row: int) -> int:
+    """Line number ``csv.reader`` reports after data row ``row`` (0-based)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        deque(islice(reader, row + 2), maxlen=0)  # the header, then the rows
+        return reader.line_num
+
+
 def export_csv(tensor: ExpressionTensor, path) -> None:
-    """Write every cell in long format; missing cells get an empty value."""
+    """Write every cell in long format; missing cells get an empty value.
+
+    Cells are written in row-major order, a block of whole genes at a time
+    (one chunk's worth of rows), so memory is bounded by one block's fields
+    plus the tensor.
+    """
+    n_g, n_c, n_t = tensor.shape
+    block = max(1, _CHUNK_ROWS // (n_c * n_t))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for gi, gene in enumerate(tensor.gene_ids):
-            for ci, cond in enumerate(tensor.condition_ids):
-                for ti, time in enumerate(tensor.time_labels):
-                    if tensor.missing_mask[gi, ci, ti]:
-                        field = ""
-                    else:
-                        field = repr(float(tensor.values[gi, ci, ti]))
-                    writer.writerow([gene, cond, time, field])
+        for g0 in range(0, n_g, block):
+            fields = list(map(repr, tensor.values[g0:g0 + block].ravel().tolist()))
+            for i in np.flatnonzero(tensor.missing_mask[g0:g0 + block]).tolist():
+                fields[i] = ""
+            cells = product(
+                tensor.gene_ids[g0:g0 + block], tensor.condition_ids, tensor.time_labels
+            )
+            writer.writerows(map(tuple.__add__, cells, zip(fields)))
 
 
 def limit_genes(tensor: ExpressionTensor, n: int) -> ExpressionTensor:

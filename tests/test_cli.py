@@ -26,6 +26,14 @@ def dataset_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def huge_csv(tmp_path_factory):
+    values = np.random.default_rng(0).random((6, 3, 4)) * 1e200
+    path = tmp_path_factory.mktemp("data") / "huge.csv"
+    export_csv(make_tensor(values), path)
+    return path
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -123,6 +131,29 @@ class TestRun:
             "--pc", "1.5",
         ])
         assert code == 2
+
+    def test_infinite_delta_exit_2(self, dataset_csv, tmp_path):
+        # The manifest records delta, and JSON has no infinity.
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(tmp_path / "o"),
+            "--delta", "inf",
+        ])
+        assert code == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_score_exit_3(self, huge_csv, tmp_path, capsys):
+        # Unnormalized values near 1e200 overflow the MSR to inf; JSON has
+        # no infinity, so the run fails instead of writing one.
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(huge_csv), "--out", str(out), "--no-normalize",
+            "--seed", "1", "--generations", "3", "--n-triclusters", "2",
+            "--delta", "1e300",
+        ])
+        assert code == 3
+        assert "run 1 scored a non-finite msr = inf" in capsys.readouterr().err
+        assert not (out / "triclusters.json").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_genes_limit(self, dataset_csv, tmp_path):
         out = tmp_path / "out"
@@ -265,6 +296,18 @@ class TestGenerate:
 
 
 class TestEvaluate:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_score_exit_3(self, huge_csv, tmp_path, capsys):
+        coords_path = tmp_path / "c.json"
+        coords_path.write_text(json.dumps(
+            {"genes": [0, 1, 2], "conditions": [0, 1], "times": [0, 1, 2]}
+        ))
+        code = main(["evaluate", "--input", str(huge_csv), "--coords", str(coords_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite score msr = inf" in captured.err
+
     def test_constant_region_zero_weights(self, tmp_path, capsys):
         values = np.full((4, 3, 3), 0.5)
         csv = tmp_path / "t.csv"

@@ -414,7 +414,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             GAConfig(seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "1", True])
+    def test_seed_must_be_an_integer(self, seed):
+        # numpy would reject a float or string only once the run starts,
+        # and would take True as seed 1.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            GAConfig(seed=seed)
+
     def test_delta_nonnegative(self):
         GAConfig(delta=0.0)  # zero is legal: empty-archive threshold floor
         with pytest.raises(ValueError):
             GAConfig(delta=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            GAConfig(delta=float("inf"))

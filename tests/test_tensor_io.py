@@ -1,5 +1,14 @@
+import csv
+import io
+import tempfile
+from itertools import product
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trievolve import (
     DatasetFormatError,
@@ -13,7 +22,9 @@ from trievolve import (
     limit_genes,
     load_dataset,
     msr3d,
+    naive,
     normalize_minmax,
+    tensor_io,
 )
 
 from conftest import make_tensor
@@ -143,6 +154,157 @@ class TestLoadDataset:
         assert t.shape == (2, 1, 2)
         with pytest.raises(DatasetFormatError, match="descriptor expects 5 genes"):
             load_dataset(p, descriptor={"genes": 5})
+
+
+# Labels that need quoting (commas, quotes, line breaks) beside plain ones.
+GENE_LABELS = ("g1", "g2", "g10", 'q"uote', "com,ma", "new\nline", "cr\r\nlf", " pad ")
+CONDITION_LABELS = ("x", "y", "z,w", 'c"')
+NUMERIC_TIMES = ("1", "2", "10", "0.5", "1e1", "-3")
+LEXICAL_TIMES = ("t1", "t10", "t2", "b", "a,b")
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+VALUES = st.one_of(
+    FINITE, FINITE, st.just(""),
+    st.sampled_from([" 2.5 ", "1_0", "+3", "-0", "1E-5"]),
+)
+BAD_VALUES = ("nan", "inf", "-inf", "NaN", "abc", "1e400", "0x1", "1,5")
+RAW_TAILS = ('g1,x,1,"open', "g1,x,1,0.5\x00", '"q"x,y,1,2', "\n\n", "g1,x")
+# Small chunks put every fault next to, or across, a chunk boundary.
+CHUNK_ROWS = st.sampled_from([2, 3, tensor_io._CHUNK_ROWS])
+
+
+@st.composite
+def csv_texts(draw):
+    """A long-format CSV text: a shuffled full grid, then up to four faults."""
+    genes = draw(st.lists(st.sampled_from(GENE_LABELS), min_size=1, max_size=4, unique=True))
+    conds = draw(st.lists(st.sampled_from(CONDITION_LABELS), min_size=1, max_size=3, unique=True))
+    pool = draw(st.sampled_from([NUMERIC_TIMES, LEXICAL_TIMES, NUMERIC_TIMES + ("t1",)]))
+    times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    rows = [[g, c, t, draw(VALUES)] for g, c, t in product(genes, conds, times)]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from([
+            "duplicate", "duplicate", "drop", "drop",
+            "blank", "short", "long", "empty_label", "bad_value",
+        ]))
+        i = draw(st.integers(0, max(0, len(rows) - 1)))
+        if fault == "blank":
+            rows.insert(i, [])
+        elif not rows or not rows[i][:1]:
+            continue
+        elif fault == "duplicate":
+            rows.insert(draw(st.integers(i + 1, len(rows))), rows[i][:3] + [draw(VALUES)])
+        elif fault == "short":
+            rows[i] = rows[i][:draw(st.integers(0, 3))]
+        elif fault == "long":
+            rows[i] = rows[i] + ["extra"] * draw(st.integers(1, 2))
+        elif fault == "empty_label" and len(rows[i]) >= 3:
+            rows[i][draw(st.integers(0, 2))] = ""
+        elif fault == "bad_value" and len(rows[i]) == 4:
+            rows[i][3] = draw(st.sampled_from(BAD_VALUES))
+        elif fault == "drop":
+            del rows[i]
+    header = draw(st.sampled_from(
+        [list(tensor_io.CSV_HEADER)] * 8 + [["gene", "cond", "time", "value"], None]
+    ))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n", "\r"])))
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue() + draw(st.sampled_from(("",) * 6 + RAW_TAILS))
+
+
+def _load_outcome(load, path):
+    """The loaded tensor's bits and labels, or the error it raised."""
+    try:
+        t = load(path)
+    except Exception as exc:  # compared against the oracle's, whatever it is
+        return type(exc), str(exc)
+    return (
+        t.shape, t.values.tobytes(), t.missing_mask.tobytes(),
+        t.gene_ids, t.condition_ids, t.time_labels,
+    )
+
+
+class TestCsvOracle:
+    """The chunked, columnar reader and writer against the row-by-row ones."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(csv_texts(), CHUNK_ROWS)
+    def test_load_matches_row_by_row_oracle(self, text, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
+                got = _load_outcome(load_dataset, path)
+            assert got == _load_outcome(naive.load_dataset_naive, path)
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3])
+    @pytest.mark.parametrize("rows, want", [
+        # a duplicate in the second chunk before a bad value in the third
+        (["a,x,1,0.5", "a,x,2,0.6", "a,x,1,0.7", "a,x,3,abc"], "line 4: duplicate"),
+        (["a,x,1,0.5", "a,x,2,abc", "a,x,1,0.7", "a,x,3"], "line 3: bad value"),
+        (["a,x,1,0.5", "a,x,2,0.6", "a,x,3,0.7", "a,x", "a,x,1,0.8"], "line 5: expected 4"),
+        (["a,x,1,0.5", "a,x,2,0.6", "a,x,1,0.7,9", "a,x,1,0.8"], "line 4: expected 4"),
+        (["a,x,1,0.5", "a,x,2,0.6", ",x,1,nan", "a,x,3,0.1"], "line 4: empty"),
+        (["a,x,1,0.5", "a,x,2,0.6", "a,x,1,nan", "a,x,3,0.1"], "line 4: bad value"),
+    ])
+    def test_first_fault_in_file_order_across_chunks(self, tmp_path, chunk_rows, rows, want):
+        path = write_csv(tmp_path / "d.csv", rows)
+        with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
+            with pytest.raises(DatasetFormatError, match=want):
+                load_dataset(path)
+        with pytest.raises(DatasetFormatError, match=want):
+            naive.load_dataset_naive(path)
+
+    @pytest.mark.parametrize("bad_row", [None, 1])
+    def test_read_failure_after_a_fault_reports_the_fault(self, tmp_path, bad_row):
+        # The undecodable byte sits well past the first decoded block, so the
+        # reader fails in the middle of a chunk; a fault in the rows it read
+        # first is what the row-by-row reader reports.
+        rows = [f"g{i},x,1,{i}" for i in range(2000)]
+        if bad_row is not None:
+            rows[bad_row] = "g1,x,1,abc"
+        path = tmp_path / "d.csv"
+        text = "gene,condition,time,value\n" + "\n".join(rows) + "\n"
+        path.write_bytes(text.encode() + b"g\xff,x,1,0\n")
+        got = _load_outcome(load_dataset, path)
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+        assert got[0] is (UnicodeDecodeError if bad_row is None else DatasetFormatError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), CHUNK_ROWS)
+    def test_export_matches_cell_by_cell_oracle(self, data, chunk_rows):
+        def labels(pool, most):
+            return data.draw(
+                st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique=True)
+            )
+
+        genes = labels(GENE_LABELS + ("",), 5)
+        conds = labels(CONDITION_LABELS, 3)
+        times = labels(NUMERIC_TIMES + LEXICAL_TIMES, 4)
+        shape = (len(genes), len(conds), len(times))
+        n = int(np.prod(shape))
+        values = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        tensor = ExpressionTensor(
+            values.reshape(shape), genes, conds, times, mask.reshape(shape)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
+                export_csv(tensor, got)
+            naive.export_csv_naive(tensor, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_cell_index_cannot_wrap(self):
+        # Row 1's plain row-major number, 2**21 * 2**21 * 2**22 + 5, is
+        # 2**64 + 5: in int64 it would wrap onto row 0's, 5.
+        gi = np.array([0, 2**21, 0])
+        ci = np.array([0, 0, 0])
+        ti = np.array([5, 5, 5])
+        cells = tensor_io._cell_index(gi, ci, ti, (2**22, 2**21, 2**22))
+        assert cells[0] == cells[2] != cells[1]
 
 
 class TestTensorInvariants:
