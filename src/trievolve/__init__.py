@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .engine import (
     Archive,
     ArchiveEntry,
-    Chromosome,
     GAConfig,
     GenerationRecord,
     GenerationTrace,
@@ -56,7 +55,6 @@ __all__ = [
     "__version__",
     "Archive",
     "ArchiveEntry",
-    "Chromosome",
     "DatasetFormatError",
     "ExpressionTensor",
     "FitnessBreakdown",

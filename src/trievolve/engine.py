@@ -1,11 +1,13 @@
 """Genetic algorithm for tricluster mining with sequential covering.
 
-A candidate is a binary chromosome over the three tensor axes (one bit per
-gene, condition and time point).  One run evolves a population toward low
-fitness; the outer loop repeats the run, archiving each run's best candidate
-when its LSL clears the threshold, so the archive's coverage steers later
-runs toward unexplored coordinates through the distinction term and the
-overlap-avoiding initialization.
+A candidate is a plain 1-D bool array over the concatenated gene | condition |
+time axes (one bit per gene, condition and time point), and a population is
+one ``(P, X+Y+Z)`` bool matrix with a candidate per row.  Functions that need
+the segment boundaries take the tensor's ``dims``.  One run evolves a
+population toward low fitness; the outer loop repeats the run, archiving each
+run's best candidate when its LSL clears the threshold, so the archive's
+coverage steers later runs toward unexplored coordinates through the
+distinction term and the overlap-avoiding initialization.
 
 One shared seeded generator drives a whole run in a fixed call order, so a
 (tensor, config, seed) triple reproduces archives and traces bit for bit.
@@ -13,7 +15,7 @@ Fitness evaluation consumes no randomness and may be parallelized as long as
 results are collected in population order.
 
 Scores are memoised per run: fitness is pure and a run scores every candidate
-against one frozen archive snapshot, so each distinct chromosome is decoded
+against one frozen archive snapshot, so each distinct candidate is decoded
 and scored once and later copies reuse its breakdown.  The memo dies with
 the run, because the next run sees a grown archive.
 """
@@ -35,57 +37,37 @@ from .quality import (
 )
 
 
-@dataclass
-class Chromosome:
-    """Binary mask over the concatenated gene | condition | time axes."""
-
-    bits: np.ndarray
-    segments: tuple[int, int, int]
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.shape != (sum(self.segments),):
-            raise ValueError(
-                f"bit string length {self.bits.size} != sum of segments "
-                f"{self.segments}"
-            )
-
-    def copy(self) -> "Chromosome":
-        return Chromosome(self.bits.copy(), self.segments)
-
-    def segment_slices(self) -> tuple[slice, slice, slice]:
-        x, y, z = self.segments
-        return slice(0, x), slice(x, x + y), slice(x + y, x + y + z)
-
-    def segment_counts(self) -> tuple[int, int, int]:
-        return tuple(int(self.bits[s].sum()) for s in self.segment_slices())
+def _segments(bits: np.ndarray, dims: tuple[int, int, int]):
+    """The gene, condition and time views of one candidate's bits."""
+    x, y, z = dims
+    if bits.shape != (x + y + z,):
+        raise ValueError(
+            f"bit string length {bits.size} != sum of segments {tuple(dims)}"
+        )
+    return bits[:x], bits[x : x + y], bits[x + y :]
 
 
-def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> Chromosome:
-    """Chromosome with exactly the coords' bits set."""
-    bits = np.zeros(sum(dims), dtype=bool)
+def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> np.ndarray:
+    """Candidate with exactly the coords' bits set."""
     x, y, z = dims
     if coords.genes[-1] >= x or coords.conditions[-1] >= y or coords.times[-1] >= z:
         raise ValueError(f"coords {coords} do not fit in dims {dims}")
-    bits[list(coords.genes)] = True
-    bits[[x + c for c in coords.conditions]] = True
-    bits[[x + y + t for t in coords.times]] = True
-    return Chromosome(bits, tuple(dims))
+    bits = np.zeros(x + y + z, dtype=bool)
+    axes = (coords.genes, coords.conditions, coords.times)
+    for seg, idx in zip(_segments(bits, dims), axes):
+        seg[list(idx)] = True
+    return bits
 
 
-def decode(chrom: Chromosome) -> TriclusterCoords:
-    """Set-bit indices per segment; requires a repaired chromosome."""
-    counts = chrom.segment_counts()
-    if min(counts) < 2:
+def decode(bits: np.ndarray, dims: tuple[int, int, int]) -> TriclusterCoords:
+    """Set-bit indices per segment; requires a repaired candidate."""
+    indices = [tuple(np.flatnonzero(seg).tolist()) for seg in _segments(bits, dims)]
+    if min(map(len, indices)) < 2:
         raise ValueError(
-            f"chromosome has segment sizes {counts}; repair must run first"
+            f"chromosome has segment sizes {tuple(map(len, indices))}; "
+            "repair must run first"
         )
-    sg, sc, st = chrom.segment_slices()
-    return TriclusterCoords(
-        genes=tuple(np.flatnonzero(chrom.bits[sg]).tolist()),
-        conditions=tuple(np.flatnonzero(chrom.bits[sc]).tolist()),
-        times=tuple(np.flatnonzero(chrom.bits[st]).tolist()),
-    )
+    return TriclusterCoords(*indices)
 
 
 @dataclass(frozen=True)
@@ -190,37 +172,39 @@ class GenerationTrace:
         return [r.best_f for r in self.records]
 
 
-def _draw_axis_subset(n: int, size: int, used: set[int], rng) -> np.ndarray:
+def _draw_axis_subset(size: int, used: np.ndarray, rng) -> np.ndarray:
     # Prefer indices unused by earlier individuals and the archive; fall back
     # to uniform draws from the used pool once the unused pool is exhausted.
-    unused = np.array([i for i in range(n) if i not in used], dtype=np.int64)
+    unused = np.flatnonzero(~used)
     if size <= unused.size:
         return rng.choice(unused, size=size, replace=False)
-    taken = [unused]
-    shortfall = size - unused.size
-    pool = np.array([i for i in range(n) if i in used], dtype=np.int64)
-    taken.append(rng.choice(pool, size=shortfall, replace=False))
-    return np.concatenate(taken)
+    pool = np.flatnonzero(used)
+    return np.concatenate(
+        [unused, rng.choice(pool, size=size - unused.size, replace=False)]
+    )
 
 
 def init_population(
     dims: tuple[int, int, int], config: GAConfig, archive: Archive | None, rng
-) -> list[Chromosome]:
-    """Random population whose individuals prefer coordinates unused by both
-    the archive and the individuals initialized before them."""
-    x, y, z = dims
-    used_g = set(archive.covered_genes) if archive else set()
-    used_c = set(archive.covered_conditions) if archive else set()
-    used_t = set(archive.covered_times) if archive else set()
-    population = []
-    for _ in range(config.population_size):
-        bits = np.zeros(x + y + z, dtype=bool)
-        for n, used, offset in ((x, used_g, 0), (y, used_c, x), (z, used_t, x + y)):
-            size = int(rng.integers(2, n + 1))
-            chosen = _draw_axis_subset(n, size, used, rng)
-            bits[offset + chosen] = True
-            used.update(int(i) for i in chosen)
-        population.append(repair(Chromosome(bits, dims), rng))
+) -> np.ndarray:
+    """Random ``(P, X+Y+Z)`` population whose individuals prefer coordinates
+    unused by both the archive and the individuals initialized before them."""
+    used = np.zeros(sum(dims), dtype=bool)
+    used_segs = _segments(used, dims)
+    if archive:
+        covered = (
+            archive.covered_genes, archive.covered_conditions, archive.covered_times
+        )
+        for seg, idx in zip(used_segs, covered):
+            seg[list(idx)] = True
+    population = np.zeros((config.population_size, used.size), dtype=bool)
+    for row in population:
+        for seg, used_seg in zip(_segments(row, dims), used_segs):
+            size = int(rng.integers(2, seg.size + 1))
+            chosen = _draw_axis_subset(size, used_seg, rng)
+            seg[chosen] = True
+            used_seg[chosen] = True
+        row[:] = repair(row, dims, rng)
     return population
 
 
@@ -235,69 +219,58 @@ def _tournament_index(fitness_values, rng) -> int:
     return j
 
 
-def _crossover_segment(a: np.ndarray, b: np.ndarray, cut: int):
-    return (
-        np.concatenate([a[:cut], b[cut:]]),
-        np.concatenate([b[:cut], a[cut:]]),
-    )
-
-
 def crossover(
-    p1: Chromosome, p2: Chromosome, p_c: float, rng
-) -> tuple[Chromosome, Chromosome]:
+    p1: np.ndarray, p2: np.ndarray, dims: tuple[int, int, int], p_c: float, rng
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment single-point tail swap, applied with probability p_c.
 
     Each of the three segments draws its own crosspoint, so segment
-    boundaries are never crossed.  Offspring are not repaired here.
+    boundaries are never crossed.  Offspring are fresh arrays either way and
+    are not repaired here.
     """
-    if p1.segments != p2.segments:
-        raise ValueError("parents encode different tensor shapes")
+    o1, o2 = p1.copy(), p2.copy()
+    segment_pairs = zip(_segments(o1, dims), _segments(o2, dims))
     if rng.random() >= p_c:
-        return p1.copy(), p2.copy()
-    o1 = np.empty_like(p1.bits)
-    o2 = np.empty_like(p2.bits)
-    for seg in p1.segment_slices():
-        a, b = p1.bits[seg], p2.bits[seg]
+        return o1, o2
+    for a, b in segment_pairs:
         if a.size == 1:
-            o1[seg], o2[seg] = a, b
             continue
         cut = int(rng.integers(1, a.size))
-        o1[seg], o2[seg] = _crossover_segment(a, b, cut)
-    return Chromosome(o1, p1.segments), Chromosome(o2, p2.segments)
+        a[cut:], b[cut:] = b[cut:].copy(), a[cut:].copy()
+    return o1, o2
 
 
-def mutate(chrom: Chromosome, p_m: float, rng) -> Chromosome:
+def mutate(bits: np.ndarray, p_m: float, rng) -> np.ndarray:
     """With probability p_m flip exactly one uniformly chosen bit."""
-    out = chrom.copy()
+    out = bits.copy()
     if rng.random() < p_m:
-        pos = int(rng.integers(0, out.bits.size))
-        out.bits[pos] = not out.bits[pos]
+        pos = int(rng.integers(0, out.size))
+        out[pos] = not out[pos]
     return out
 
 
-def repair(chrom: Chromosome, rng) -> Chromosome:
+def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
     """Flip uniformly chosen unset bits on until every segment has >= 2."""
-    counts = chrom.segment_counts()
+    counts = [int(seg.sum()) for seg in _segments(bits, dims)]
     if min(counts) >= 2:
-        return chrom
-    out = chrom.copy()
-    for seg, count in zip(out.segment_slices(), counts):
+        return bits
+    out = bits.copy()
+    for seg, count in zip(_segments(out, dims), counts):
         if count >= 2:
             continue
-        unset = np.flatnonzero(~out.bits[seg])
-        picked = rng.choice(unset, size=2 - count, replace=False)
-        out.bits[seg.start + picked] = True
+        unset = np.flatnonzero(~seg)
+        seg[rng.choice(unset, size=2 - count, replace=False)] = True
     return out
 
 
-def _evaluate(values, chrom, config, archive, memo):
-    # ``memo`` maps a chromosome's bits to its breakdown for one run.
-    key = chrom.bits.tobytes()
+def _evaluate(values, bits, dims, config, archive, memo):
+    # ``memo`` maps a candidate's bits to its breakdown for one run.
+    key = bits.tobytes()
     breakdown = memo.get(key)
     if breakdown is None:
         breakdown = fitness(
             values,
-            decode(chrom),
+            decode(bits, dims),
             config.quality_weights,
             archive,
             config.slope_mode,
@@ -329,12 +302,14 @@ def evolve_one_tricluster(
 
     memo: dict[bytes, FitnessBreakdown] = {}
     population = init_population(dims, config, archive, rng)
-    evals = [_evaluate(values, ch, config, archive, memo) for ch in population]
+    evals = [
+        _evaluate(values, bits, dims, config, archive, memo) for bits in population
+    ]
     lookups = len(evals)
     f_vals = [e.f for e in evals]
 
     best_i = _best_index(f_vals)
-    best_coords = decode(population[best_i])
+    best_coords = decode(population[best_i], dims)
     best_eval = evals[best_i]
     records = [
         GenerationRecord(0, best_eval.f, fmean(f_vals), best_eval)
@@ -343,26 +318,29 @@ def evolve_one_tricluster(
     n = config.population_size
     for gen in range(1, config.generations):
         order = sorted(range(n), key=lambda i: (f_vals[i], i))
-        next_pop = [population[i].copy() for i in order[: config.elite_count]]
+        # Elites first; the rows after them are overwritten by the children.
+        next_pop = population[order]
         next_evals = [evals[i] for i in order[: config.elite_count]]
-        while len(next_pop) < n:
+        while len(next_evals) < n:
             i = _tournament_index(f_vals, rng)
             j = _tournament_index(f_vals, rng)
             for child in crossover(
-                population[i], population[j], config.p_crossover, rng
+                population[i], population[j], dims, config.p_crossover, rng
             ):
-                if len(next_pop) >= n:
+                if len(next_evals) >= n:
                     break
-                child = repair(mutate(child, config.p_mutation, rng), rng)
-                next_pop.append(child)
-                next_evals.append(_evaluate(values, child, config, archive, memo))
+                child = repair(mutate(child, config.p_mutation, rng), dims, rng)
+                next_pop[len(next_evals)] = child
+                next_evals.append(
+                    _evaluate(values, child, dims, config, archive, memo)
+                )
                 lookups += 1
         population, evals = next_pop, next_evals
         f_vals = [e.f for e in evals]
         gen_best = _best_index(f_vals)
         if f_vals[gen_best] < best_eval.f:
             best_eval = evals[gen_best]
-            best_coords = decode(population[gen_best])
+            best_coords = decode(population[gen_best], dims)
         records.append(
             GenerationRecord(gen, best_eval.f, fmean(f_vals), best_eval)
         )

@@ -96,12 +96,15 @@ class ExpressionTensor:
 
 
 def _sorted_time_labels(labels) -> list[str]:
-    # Numeric sort when every label parses as a number, else lexical; the
-    # time axis must be monotone for the time-position regressions.
+    # Numeric sort when every label parses as a number other than nan, else
+    # lexical; the time axis must be monotone for the time-position
+    # regressions, and nan compares false with everything.
     try:
-        return sorted(labels, key=lambda s: (float(s), s))
+        if not any(math.isnan(float(s)) for s in labels):
+            return sorted(labels, key=lambda s: (float(s), s))
     except ValueError:
-        return sorted(labels)
+        pass
+    return sorted(labels)
 
 
 def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
@@ -417,8 +420,10 @@ class SyntheticSpec:
                 or coords.times[-1] >= dims[2]
             ):
                 raise ValueError(f"planted coords {coords} do not fit in dims {dims}")
-        if not (self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
         if self.background not in BACKGROUNDS:
             raise ValueError(
                 f"unknown background {self.background!r}; expected {BACKGROUNDS}"

@@ -43,6 +43,7 @@ from trievolve import (
 )
 from trievolve import naive
 from trievolve.cli import main as cli_main
+from trievolve.engine import _segments
 
 from conftest import random_coords
 
@@ -216,19 +217,13 @@ def test_criterion_5_ga_mechanics():
     for _ in range(1000):
         p1 = encode(random_coords(rng, dims), dims)
         p2 = encode(random_coords(rng, dims), dims)
-        o1, o2 = crossover(p1, p2, 1.0, rng)
-        for s in p1.segment_slices():
-            if int(p1.bits[s].sum() + p2.bits[s].sum()) != int(
-                o1.bits[s].sum() + o2.bits[s].sum()
-            ):
+        o1, o2 = crossover(p1, p2, dims, 1.0, rng)
+        for s1, s2, c1, c2 in zip(*(_segments(b, dims) for b in (p1, p2, o1, o2))):
+            if int(s1.sum() + s2.sum()) != int(c1.sum() + c2.sum()):
                 conservation_ok = False
 
-    from trievolve import Chromosome
-
-    base = Chromosome(np.zeros(24, bool), (8, 8, 8))
-    flips = sum(
-        1 for _ in range(10000) if (mutate(base, 0.5, rng).bits != base.bits).any()
-    )
+    base = np.zeros(24, bool)
+    flips = sum(1 for _ in range(10000) if (mutate(base, 0.5, rng) != base).any())
     flip_ok = 4850 <= flips <= 5150
 
     guard_config = GAConfig(generations=10, n_triclusters=5, seed=77, delta=1050.0)

@@ -265,6 +265,18 @@ class TestGenerate:
         spec_path.write_text(json.dumps(payload))
         assert main(["generate", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_infinite_noise_exit_2(self, tmp_path):
+        # Python's json reads Infinity; a plant would then hold inf cells.
+        spec_path = tmp_path / "spec.json"
+        text = json.dumps(self.spec_payload()).replace(
+            '"noise_sigma": 0.0', '"noise_sigma": Infinity'
+        )
+        assert "Infinity" in text
+        spec_path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["generate", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert not (out / "tensor.csv").exists()
+
     def test_overlap_exit_5(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         payload = self.spec_payload()

@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from trievolve import (
     Archive,
-    Chromosome,
     FitnessBreakdown,
     GAConfig,
     QualityWeights,
@@ -20,7 +21,7 @@ from trievolve import (
     run_triea,
 )
 from trievolve import engine
-from trievolve.engine import _crossover_segment, _tournament_index
+from trievolve.engine import _segments, _tournament_index
 
 from conftest import random_coords
 
@@ -29,41 +30,45 @@ def bits_from(text: str) -> np.ndarray:
     return np.array([b == "1" for b in text.replace("|", "")], dtype=bool)
 
 
+def segment_counts(bits, dims) -> tuple[int, int, int]:
+    return tuple(int(seg.sum()) for seg in _segments(bits, dims))
+
+
 class TestChromosome:
     def test_length_checked(self):
         with pytest.raises(ValueError):
-            Chromosome(np.zeros(7, bool), (2, 2, 2))
+            _segments(np.zeros(7, bool), (2, 2, 2))
 
     def test_segment_counts(self):
-        ch = Chromosome(bits_from("10110|10001|11001"), (5, 5, 5))
-        assert ch.segment_counts() == (3, 2, 3)
+        ch = bits_from("10110|10001|11001")
+        assert segment_counts(ch, (5, 5, 5)) == (3, 2, 3)
 
 
 class TestDecodeEncode:
     def test_reference_genotype(self):
-        ch = Chromosome(bits_from("10110|10001|11001"), (5, 5, 5))
-        coords = decode(ch)
+        ch = bits_from("10110|10001|11001")
+        coords = decode(ch, (5, 5, 5))
         assert coords.genes == (0, 2, 3)
         assert coords.conditions == (0, 4)
         assert coords.times == (0, 1, 4)
 
     def test_all_ones_full_tensor(self):
-        ch = Chromosome(np.ones(12, bool), (5, 4, 3))
-        coords = decode(ch)
+        ch = np.ones(12, bool)
+        coords = decode(ch, (5, 4, 3))
         assert coords.genes == tuple(range(5))
         assert coords.conditions == tuple(range(4))
         assert coords.times == tuple(range(3))
 
     def test_undersized_segment_rejected(self):
-        ch = Chromosome(bits_from("10000|11000|11000"), (5, 5, 5))
+        ch = bits_from("10000|11000|11000")
         with pytest.raises(ValueError, match="repair"):
-            decode(ch)
+            decode(ch, (5, 5, 5))
 
     def test_roundtrip(self, rng):
         dims = (12, 6, 8)
         for _ in range(100):
             coords = random_coords(rng, dims)
-            assert decode(encode(coords, dims)) == coords
+            assert decode(encode(coords, dims), dims) == coords
 
     def test_encode_bounds(self):
         with pytest.raises(ValueError):
@@ -76,15 +81,15 @@ class TestInitPopulation:
         pop = init_population((30, 5, 8), config, None, rng)
         assert len(pop) == 20
         for ch in pop:
-            assert min(ch.segment_counts()) >= 2
-            decode(ch)
+            assert min(segment_counts(ch, (30, 5, 8))) >= 2
+            decode(ch, (30, 5, 8))
 
     def test_overlap_avoidance_until_pool_exhausted(self, rng):
         config = GAConfig(population_size=3, seed=0)
         pop = init_population((6, 4, 4), config, None, rng)
         seen: set[int] = set()
         for ch in pop:
-            genes = set(decode(ch).genes)
+            genes = set(decode(ch, (6, 4, 4)).genes)
             overlap = genes & seen
             shortfall = max(0, len(genes) - (6 - len(seen)))
             # overlap appears only once the unused pool is exhausted
@@ -101,7 +106,7 @@ class TestInitPopulation:
         pop = init_population((6, 4, 4), config, archive, rng)
         assert len(pop) == 4
         for ch in pop:
-            assert min(ch.segment_counts()) >= 2
+            assert min(segment_counts(ch, (6, 4, 4))) >= 2
 
 
 class TestTournament:
@@ -118,7 +123,6 @@ class TestTournament:
 
     def test_selection_frequency_decreases_with_rank(self, rng):
         fs = [1.0, 2.0, 3.0, 4.0]
-        pop = [Chromosome(np.ones(6, bool), (2, 2, 2)) for _ in fs]
         wins = [0, 0, 0, 0]
         for _ in range(10000):
             winner = _tournament_index(fs, rng)
@@ -134,92 +138,147 @@ class TestTournament:
 
 class TestCrossover:
     def test_disabled_yields_copies(self, rng):
-        p1 = Chromosome(bits_from("11100|11000|10100"), (5, 5, 5))
-        p2 = Chromosome(bits_from("00011|00110|01010"), (5, 5, 5))
-        o1, o2 = crossover(p1, p2, 0.0, rng)
-        np.testing.assert_array_equal(o1.bits, p1.bits)
-        np.testing.assert_array_equal(o2.bits, p2.bits)
-        assert o1 is not p1  # fresh objects either way
+        p1 = bits_from("11100|11000|10100")
+        p2 = bits_from("00011|00110|01010")
+        o1, o2 = crossover(p1, p2, (5, 5, 5), 0.0, rng)
+        np.testing.assert_array_equal(o1, p1)
+        np.testing.assert_array_equal(o2, p2)
+        assert o1 is not p1  # fresh arrays either way
+        assert not np.shares_memory(o1, p1) and not np.shares_memory(o2, p2)
 
     def test_segment_tail_swap(self):
-        a = bits_from("11100")
-        b = bits_from("00011")
-        o1, o2 = _crossover_segment(a, b, 2)
-        assert o1.tolist() == bits_from("11011").tolist()
-        assert o2.tolist() == bits_from("00100").tolist()
+        # The 1-wide segments draw no cut, so the only draw after the
+        # crossover coin is the gene cut; pinned to 2, it swaps the tails
+        # from gene 2 on.
+        class CutRng:
+            def random(self):
+                return 0.0
+
+            def integers(self, low, high):
+                assert (low, high) == (1, 5)
+                return 2
+
+        p1 = bits_from("11100|1|1")
+        p2 = bits_from("00011|0|0")
+        o1, o2 = crossover(p1, p2, (5, 1, 1), 1.0, CutRng())
+        assert o1[:5].tolist() == bits_from("11011").tolist()
+        assert o2[:5].tolist() == bits_from("00100").tolist()
 
     def test_conserves_per_segment_totals(self, rng):
         dims = (8, 5, 6)
         for _ in range(1000):
             p1 = encode(random_coords(rng, dims), dims)
             p2 = encode(random_coords(rng, dims), dims)
-            o1, o2 = crossover(p1, p2, 1.0, rng)
-            for s in p1.segment_slices():
-                parents = np.stack([p1.bits[s], p2.bits[s]])
-                children = np.stack([o1.bits[s], o2.bits[s]])
+            o1, o2 = crossover(p1, p2, dims, 1.0, rng)
+            for s1, s2, c1, c2 in zip(*(_segments(b, dims) for b in (p1, p2, o1, o2))):
+                parents = np.stack([s1, s2])
+                children = np.stack([c1, c2])
                 # positional multiset conservation, not just counts
                 np.testing.assert_array_equal(
                     np.sort(parents, axis=0), np.sort(children, axis=0)
                 )
 
     def test_length_one_segment_copied(self, rng):
-        p1 = Chromosome(np.array([1, 1, 0, 1, 1, 0], bool), (2, 1, 3))
-        p2 = Chromosome(np.array([0, 1, 1, 0, 1, 1], bool), (2, 1, 3))
+        p1 = np.array([1, 1, 0, 1, 1, 0], bool)
+        p2 = np.array([0, 1, 1, 0, 1, 1], bool)
         for _ in range(20):
-            o1, o2 = crossover(p1, p2, 1.0, rng)
-            assert o1.bits[2] == p1.bits[2]
-            assert o2.bits[2] == p2.bits[2]
+            o1, o2 = crossover(p1, p2, (2, 1, 3), 1.0, rng)
+            assert o1[2] == p1[2]
+            assert o2[2] == p2[2]
 
     def test_mismatched_parents_rejected(self, rng):
-        p1 = Chromosome(np.ones(6, bool), (2, 2, 2))
-        p2 = Chromosome(np.ones(7, bool), (3, 2, 2))
-        with pytest.raises(ValueError):
-            crossover(p1, p2, 1.0, rng)
+        p1 = np.ones(6, bool)
+        p2 = np.ones(7, bool)
+        with pytest.raises(ValueError, match="length"):
+            crossover(p1, p2, (2, 2, 2), 1.0, rng)
+        with pytest.raises(ValueError, match="length"):
+            crossover(p2, p1, (2, 2, 2), 1.0, rng)
 
 
 class TestMutate:
     def test_zero_probability_is_identity(self, rng):
-        ch = Chromosome(bits_from("10110|10001|11001"), (5, 5, 5))
+        ch = bits_from("10110|10001|11001")
         out = mutate(ch, 0.0, rng)
-        np.testing.assert_array_equal(out.bits, ch.bits)
+        np.testing.assert_array_equal(out, ch)
 
     def test_certain_mutation_flips_exactly_one(self, rng):
-        ch = Chromosome(bits_from("10110|10001|11001"), (5, 5, 5))
+        ch = bits_from("10110|10001|11001")
         for _ in range(200):
             out = mutate(ch, 1.0, rng)
-            assert int((out.bits != ch.bits).sum()) == 1
+            assert int((out != ch).sum()) == 1
 
     def test_flip_rate_at_half(self):
         rng = np.random.default_rng(123)
-        ch = Chromosome(np.zeros(30, bool), (10, 10, 10))
-        flips = sum(
-            1 for _ in range(10000) if (mutate(ch, 0.5, rng).bits != ch.bits).any()
-        )
+        ch = np.zeros(30, bool)
+        flips = sum(1 for _ in range(10000) if (mutate(ch, 0.5, rng) != ch).any())
         assert 4850 <= flips <= 5150
 
 
 class TestRepair:
     def test_valid_untouched(self, rng):
-        ch = Chromosome(bits_from("10110|10001|11001"), (5, 5, 5))
-        out = repair(ch, rng)
+        ch = bits_from("10110|10001|11001")
+        out = repair(ch, (5, 5, 5), rng)
         assert out is ch
 
     def test_all_zero_segment_gets_two(self, rng):
-        ch = Chromosome(bits_from("00000|11000|11000"), (5, 5, 5))
-        out = repair(ch, rng)
-        assert out.segment_counts() == (2, 2, 2)
+        ch = bits_from("00000|11000|11000")
+        out = repair(ch, (5, 5, 5), rng)
+        assert segment_counts(out, (5, 5, 5)) == (2, 2, 2)
         # other segments untouched
-        np.testing.assert_array_equal(out.bits[5:], ch.bits[5:])
+        np.testing.assert_array_equal(out[5:], ch[5:])
 
     def test_random_degenerates_become_decodable(self, rng):
         for _ in range(1000):
-            bits = rng.random(14) < 0.15
-            ch = Chromosome(bits, (6, 4, 4))
-            fixed = repair(ch, rng)
-            assert min(fixed.segment_counts()) >= 2
-            decode(fixed)
+            ch = rng.random(14) < 0.15
+            fixed = repair(ch, (6, 4, 4), rng)
+            assert min(segment_counts(fixed, (6, 4, 4))) >= 2
+            decode(fixed, (6, 4, 4))
             # repair only sets bits, never clears
-            assert bool(np.all(fixed.bits >= ch.bits))
+            assert bool(np.all(fixed >= ch))
+
+
+class TestRngCallOrder:
+    """SHA-256 of the bits the variation operators return from fixed seeds.
+
+    The digests were recorded before the population became a bool matrix
+    and pin the generator's call order: an extra, missing or reordered
+    draw changes them.
+    """
+
+    def test_init_population_bits(self):
+        # The archives cover none, part and all of the gene axis; the
+        # 2-wide condition axis runs out of unused indices after one
+        # individual, so the shortfall branch runs in every case.
+        dims = (9, 2, 6)
+        part, full = Archive(), Archive()
+        part.add(TriclusterCoords((0, 2, 4, 6), (0, 1), (1, 3)), None)
+        full.add(TriclusterCoords(tuple(range(9)), (0, 1), (0, 5)), None)
+        h = hashlib.sha256()
+        for archive in (Archive(), part, full):
+            rng = np.random.default_rng(31)
+            pop = init_population(dims, GAConfig(population_size=6), archive, rng)
+            h.update(pop.tobytes())
+        assert h.hexdigest() == (
+            "7ef85549db44a1d0a9919e54b4340b23201c2242cd6751a04e1b4a4a307434a7"
+        )
+
+    def test_variation_bits(self):
+        # Both certain and impossible crossover and mutation are included,
+        # so skipping a draw at probability 0 or 1 shows too.
+        rng = np.random.default_rng(47)
+        dims = (7, 2, 5)
+        pop = [repair(b, dims, rng) for b in rng.random((8, 14)) < 0.3]
+        h = hashlib.sha256()
+        for step in range(300):
+            i, j = (int(k) for k in rng.integers(0, 8, size=2))
+            p_c, p_m = (0.0, 0.8, 1.0)[step % 3], (0.0, 0.5, 1.0, 0.5)[step % 4]
+            children = crossover(pop[i], pop[j], dims, p_c, rng)
+            pop[i], pop[j] = (repair(mutate(c, p_m, rng), dims, rng) for c in children)
+            h.update(pop[i].tobytes())
+            h.update(pop[j].tobytes())
+        assert h.hexdigest() == (
+            "4c44de678f529d080f04181ccdcf04bcd94be765025896c8739123c3ce71a4a8"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -288,9 +347,9 @@ class TestEvolve:
         config = GAConfig(generations=20, seed=8)
         memoised = evolve_one_tricluster(small_tensor, config)
 
-        def fresh_evaluate(values, chrom, config, archive, memo):
+        def fresh_evaluate(values, bits, dims, config, archive, memo):
             return engine.fitness(
-                values, engine.decode(chrom), config.quality_weights, archive,
+                values, engine.decode(bits, dims), config.quality_weights, archive,
                 config.slope_mode,
             )
 

@@ -85,6 +85,21 @@ class TestLoadDataset:
         t = load_dataset(write_csv(tmp_path / "d.csv", rows))
         assert t.time_labels == ("t10", "t2")
 
+    def test_nan_time_label_falls_back_to_lexical_sort(self):
+        # nan compares false with every number, so a numeric sort would
+        # leave this order as it came.
+        labels = ["2", "nan", "0", "1", "3"]
+        assert tensor_io._sorted_time_labels(labels) == ["0", "1", "2", "3", "nan"]
+
+    def test_nan_time_label_csv_loads_lexically_sorted(self, tmp_path):
+        times = ["2", "nan", "0", "10", "1"]
+        rows = [f"a,x,{t},{i}.0" for i, t in enumerate(times)]
+        p = write_csv(tmp_path / "d.csv", rows)
+        t = load_dataset(p)
+        assert t.time_labels == ("0", "1", "10", "2", "nan")
+        assert t.values[0, 0].tolist() == [2.0, 4.0, 3.0, 0.0, 1.0]
+        assert naive.load_dataset_naive(p).time_labels == t.time_labels
+
     def test_bad_header(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", ["a,x,1,0.5"], header="gene,cond,time,value")
         with pytest.raises(DatasetFormatError, match="line 1"):
@@ -420,6 +435,8 @@ class TestSyntheticSpec:
             SyntheticSpec(dims=(4, 4, 4), planted=((coords, "sinusoidal"),))
         with pytest.raises(ValueError):
             SyntheticSpec(dims=(4, 4, 4), noise_sigma=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticSpec(dims=(4, 4, 4), noise_sigma=float("inf"))
         with pytest.raises(ValueError):
             SyntheticSpec(dims=(4, 4, 4), background="poisson")
         big = TriclusterCoords((0, 9), (0, 1), (0, 1))
