@@ -9,15 +9,25 @@ Subcommands:
 * ``evaluate`` -- score user-supplied coordinates against a dataset and print
                   the fitness breakdown as JSON on stdout.
 
-Exit codes: 0 success, 2 bad flags (a negative seed or a non-integer
-``$TRIEA_SEED`` included),
-malformed coordinate or archive files or undersized coordinates, 3 input
-format errors, out-of-bounds indices or a non-finite score (values too large
-to score; JSON has no infinity), 4 empty archive (outputs still written),
-5 overlapping planted regions.
+Exit codes:
+
+* 0 success;
+* 2 bad flags (a negative seed or a non-integer ``$TRIEA_SEED`` included),
+  a missing, unreadable or malformed JSON file (``--coords``, ``--archive``,
+  ``--spec``; JSON true/false and floats are not integers), undersized
+  coordinates, or an ``--out`` that cannot be made a directory;
+* 3 a missing, unreadable, undecodable or malformed ``--input`` CSV,
+  out-of-bounds indices or a non-finite score (values too large to score;
+  JSON has no infinity);
+* 4 empty archive (outputs still written, with a warning);
+* 5 overlapping planted regions.
+
+Every failure is raised as ``_Exit`` and reported by ``main`` alone, as one
+``error: ...`` line on stderr.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -61,14 +71,23 @@ EXIT_OVERLAP = 5
 SEED_ENV_VAR = "TRIEA_SEED"
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """A failure that ``main`` reports as ``error: <message>`` and turns
+    into exit code ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _reason(exc: Exception) -> str:
+    # An OSError's message without its errno and path, else the message.
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def _seed(args) -> int:
-    """``--seed``, else ``$TRIEA_SEED``, else 0; ValueError for a negative
-    seed or a non-integer variable."""
+    """``--seed``, else ``$TRIEA_SEED``, else 0; exit 2 for a negative seed
+    or a non-integer variable."""
     if args.seed is not None:
         seed, source = args.seed, "--seed"
     else:
@@ -76,11 +95,11 @@ def _seed(args) -> int:
         try:
             seed, source = int(raw), SEED_ENV_VAR
         except ValueError:
-            raise ValueError(
-                f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
+            raise _Exit(
+                EXIT_USAGE, f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
+            )
     if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+        raise _Exit(EXIT_USAGE, f"{source} must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -191,9 +210,42 @@ def _write_trace(path: Path, trace: GenerationTrace) -> None:
             fh.write(f"{rec.generation},{rec.best_f!r},{rec.mean_f!r}\n")
 
 
-def cmd_run(args) -> int:
+def _load(path) -> ExpressionTensor:
+    """The ``--input`` CSV as a tensor; exit 3 when it is missing,
+    unreadable, undecodable or malformed."""
     try:
-        seed = _seed(args)
+        return load_dataset(path)
+    except DatasetFormatError as exc:
+        raise _Exit(EXIT_INPUT, str(exc))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise _Exit(EXIT_INPUT, f"cannot read {path}: {_reason(exc)}")
+
+
+def _read_json(path, parse, what: str):
+    """``parse`` of the JSON document in ``path``; exit 2 when the file is
+    missing, unreadable or malformed, or ``parse`` rejects the document."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"cannot read {path}: {_reason(exc)}")
+    except (KeyError, TypeError, ValueError) as exc:  # decoding errors included
+        raise _Exit(EXIT_USAGE, f"invalid {what}: {path}: {exc}")
+
+
+def _out_dir(path) -> Path:
+    """``--out``, made a directory if it is not one; exit 2 when it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"cannot make directory {path}: {_reason(exc)}")
+    return out
+
+
+def cmd_run(args) -> int:
+    seed = _seed(args)
+    try:
         config = GAConfig(
             population_size=args.pop,
             generations=args.generations,
@@ -206,26 +258,19 @@ def cmd_run(args) -> int:
             seed=seed,
         )
     except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        raise _Exit(EXIT_USAGE, str(exc))
 
-    try:
-        tensor = load_dataset(args.input)
-    except FileNotFoundError:
-        return _fail(EXIT_INPUT, f"no such file: {args.input}")
-    except DatasetFormatError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-
+    tensor = _load(args.input)
     if args.genes_limit is not None:
         try:
             tensor = limit_genes(tensor, args.genes_limit)
         except ValueError as exc:
-            return _fail(EXIT_USAGE, str(exc))
+            raise _Exit(EXIT_USAGE, str(exc))
     if not args.no_normalize:
         tensor = normalize_minmax(tensor)
     tensor = impute_missing(tensor, seed)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     traces: list[GenerationTrace] = []
     started = time.monotonic()
     try:
@@ -233,12 +278,12 @@ def cmd_run(args) -> int:
             tensor, config, trace_sink=lambda k, tr: traces.append(tr)
         )
     except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        raise _Exit(EXIT_INPUT, str(exc))
     duration = time.monotonic() - started
     for k, trace in enumerate(traces):
         bad = _non_finite_score(trace.records[-1].best)
         if bad is not None:
-            return _fail(
+            raise _Exit(
                 EXIT_INPUT,
                 f"run {k + 1} scored a non-finite {bad}; rescale the input values",
             )
@@ -287,19 +332,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = SyntheticSpec.from_json(args.spec)
-    except FileNotFoundError:
-        return _fail(EXIT_USAGE, f"no such file: {args.spec}")
-    except (ValueError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, f"invalid synthetic spec: {exc}")
+    spec = _read_json(args.spec, SyntheticSpec.from_dict, "synthetic spec")
     try:
         tensor, truth = generate_synthetic(spec)
     except RegionOverlapError as exc:
-        return _fail(EXIT_OVERLAP, str(exc))
+        raise _Exit(EXIT_OVERLAP, str(exc))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     export_csv(tensor, out_dir / "tensor.csv")
     _write_json(
         out_dir / "ground_truth.json",
@@ -309,82 +348,64 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _read_archive(path, values) -> Archive:
-    """Archive of a triclusters.json file; entries need only their coordinates.
-
-    IndexError for an entry that does not fit in ``values``; KeyError,
-    TypeError or ValueError for a malformed payload.
-    """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+def _parse_archive(payload, values) -> Archive:
+    """Archive of a triclusters.json payload; entries need only their
+    coordinates.  Exit 3 for an entry that does not fit in ``values``;
+    KeyError, TypeError or ValueError for a malformed payload."""
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError('expected a JSON object with an "entries" list')
     archive = Archive()
     for entry in payload["entries"]:
         coords = TriclusterCoords.from_dict(entry)
-        _check_bounds(values, coords)
+        try:
+            _check_bounds(values, coords)
+        except IndexError as exc:
+            raise _Exit(EXIT_INPUT, f"archive entry: {exc}")
         archive.add(coords, None)
     return archive
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        seed = _seed(args)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        tensor = load_dataset(args.input)
-    except FileNotFoundError:
-        return _fail(EXIT_INPUT, f"no such file: {args.input}")
-    except DatasetFormatError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    seed = _seed(args)
+    tensor = _load(args.input)
     if args.normalize:
         tensor = normalize_minmax(tensor)
-    if tensor.n_missing():
-        tensor = impute_missing(tensor, seed)
+    tensor = impute_missing(tensor, seed)
 
-    try:
-        with open(args.coords, encoding="utf-8") as fh:
-            coords = TriclusterCoords.from_dict(json.load(fh))
-    except FileNotFoundError:
-        return _fail(EXIT_USAGE, f"no such file: {args.coords}")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, f"invalid coords file: {exc}")
-
+    coords = _read_json(args.coords, TriclusterCoords.from_dict, "coords file")
     archive = None
     if args.archive is not None:
-        try:
-            archive = _read_archive(args.archive, tensor.values)
-        except FileNotFoundError:
-            return _fail(EXIT_USAGE, f"no such file: {args.archive}")
-        except IndexError as exc:
-            return _fail(EXIT_INPUT, f"archive entry: {exc}")
-        except (KeyError, TypeError, ValueError) as exc:
-            return _fail(EXIT_USAGE, f"invalid archive file: {exc}")
+        archive = _read_json(
+            args.archive,
+            lambda payload: _parse_archive(payload, tensor.values),
+            "archive file",
+        )
 
     try:
         breakdown: FitnessBreakdown = fitness(
             tensor, coords, _weights_from_args(args), archive, args.slope_mode
         )
     except SizePreconditionError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        raise _Exit(EXIT_USAGE, str(exc))
     except IndexError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        raise _Exit(EXIT_INPUT, str(exc))
     bad = _non_finite_score(breakdown)
     if bad is not None:
-        return _fail(EXIT_INPUT, f"non-finite score {bad}; rescale the input values")
+        raise _Exit(EXIT_INPUT, f"non-finite score {bad}; rescale the input values")
     print(json.dumps(breakdown.to_dict(), allow_nan=False))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "generate":
-        return cmd_generate(args)
-    return cmd_evaluate(args)
+    """Run one subcommand; the only place a failure is reported and turned
+    into its exit code."""
+    args = build_parser().parse_args(argv)
+    command = {"run": cmd_run, "generate": cmd_generate, "evaluate": cmd_evaluate}
+    try:
+        return command[args.command](args)
+    except _Exit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 def entrypoint() -> None:

@@ -290,8 +290,9 @@ def evolve_one_tricluster(
 
     The trace holds exactly ``config.generations`` records; record 0 is the
     evaluated initial population, so a single-generation run performs no
-    evolution and returns the initial argmin.  The best-ever individual is
-    returned, which under elitism equals the final generation's best.
+    evolution and returns the initial argmin.  The elites fill the first
+    rows of each generation in rank order and win ties there, so every
+    generation's best is the best so far and the final one is returned.
     """
     values = _values(tensor)
     dims = values.shape
@@ -307,13 +308,8 @@ def evolve_one_tricluster(
     ]
     lookups = len(evals)
     f_vals = [e.f for e in evals]
-
     best_i = _best_index(f_vals)
-    best_coords = decode(population[best_i], dims)
-    best_eval = evals[best_i]
-    records = [
-        GenerationRecord(0, best_eval.f, fmean(f_vals), best_eval)
-    ]
+    records = [GenerationRecord(0, f_vals[best_i], fmean(f_vals), evals[best_i])]
 
     n = config.population_size
     for gen in range(1, config.generations):
@@ -337,15 +333,12 @@ def evolve_one_tricluster(
                 lookups += 1
         population, evals = next_pop, next_evals
         f_vals = [e.f for e in evals]
-        gen_best = _best_index(f_vals)
-        if f_vals[gen_best] < best_eval.f:
-            best_eval = evals[gen_best]
-            best_coords = decode(population[gen_best], dims)
+        best_i = _best_index(f_vals)
         records.append(
-            GenerationRecord(gen, best_eval.f, fmean(f_vals), best_eval)
+            GenerationRecord(gen, f_vals[best_i], fmean(f_vals), evals[best_i])
         )
     trace = GenerationTrace(tuple(records), len(memo), lookups - len(memo))
-    return (best_coords, best_eval), trace
+    return (decode(population[best_i], dims), evals[best_i]), trace
 
 
 def run_triea(tensor, config: GAConfig, rng=None, trace_sink=None) -> Archive:

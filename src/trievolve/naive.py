@@ -157,7 +157,7 @@ def lsl_naive(tensor, coords: TriclusterCoords, mode: str = MODE_OLS) -> float:
     return (t_r + c_r + g_r) / 3.0
 
 
-def load_dataset_naive(path, descriptor: dict | None = None) -> ExpressionTensor:
+def load_dataset_naive(path) -> ExpressionTensor:
     """Row-by-row reference for :func:`trievolve.tensor_io.load_dataset`.
 
     Read a long-format CSV into a tensor; no imputation is performed.
@@ -168,10 +168,6 @@ def load_dataset_naive(path, descriptor: dict | None = None) -> ExpressionTensor
     numbers (``nan``/``inf`` included; an empty field marks a missing cell),
     and for ragged time grids where a condition has no rows at all for some
     time point.
-
-    ``descriptor`` optionally declares expected axis sizes, any of
-    ``{"genes": int, "conditions": int, "times": int}``; the loaded shape is
-    checked against it and a mismatch raises DatasetFormatError.
     """
     genes: list[str] = []
     conditions: list[str] = []
@@ -252,14 +248,6 @@ def load_dataset_naive(path, descriptor: dict | None = None) -> ExpressionTensor
         if value is not None:
             values[g_pos[gene], c_pos[cond], t_pos[time]] = value
             mask[g_pos[gene], c_pos[cond], t_pos[time]] = False
-
-    if descriptor:
-        for key, got in zip(("genes", "conditions", "times"), shape):
-            want = descriptor.get(key)
-            if want is not None and got != want:
-                raise DatasetFormatError(
-                    f"{path}: descriptor expects {want} {key}, file has {got}"
-                )
     return ExpressionTensor(values, tuple(genes), tuple(conditions), tuple(times), mask)
 
 

@@ -91,7 +91,11 @@ class TriclusterCoords:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TriclusterCoords":
-        return cls(tuple(d["genes"]), tuple(d["conditions"]), tuple(d["times"]))
+        """Coords of a parsed JSON object; JSON true/false are not indices."""
+        axes = (tuple(d["genes"]), tuple(d["conditions"]), tuple(d["times"]))
+        if any(isinstance(i, bool) for axis in axes for i in axis):
+            raise TypeError("indices must be integers, not true/false")
+        return cls(*axes)
 
 
 def jaccard_cells(a: TriclusterCoords, b: TriclusterCoords) -> float:

@@ -11,8 +11,9 @@ immutable after construction, so they are safe to share across threads.
 """
 
 import csv
-import json
 import math
+import numbers
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, count, islice, product
@@ -107,7 +108,7 @@ def _sorted_time_labels(labels) -> list[str]:
     return sorted(labels)
 
 
-def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
+def load_dataset(path) -> ExpressionTensor:
     """Read a long-format CSV into a tensor; no imputation is performed.
 
     Genes and conditions are ordered by first appearance, time labels by
@@ -123,10 +124,6 @@ def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
     turned into numpy columns before the next is read, so memory is bounded
     by one chunk plus the columns and the tensor; reading stops at the first
     chunk that holds an error.
-
-    ``descriptor`` optionally declares expected axis sizes, any of
-    ``{"genes": int, "conditions": int, "times": int}``; the loaded shape is
-    checked against it and a mismatch raises DatasetFormatError.
     """
     # Label -> axis index in order of first appearance, one dict per axis.
     axes: tuple[dict[str, int], dict[str, int], dict[str, int]] = ({}, {}, {})
@@ -199,14 +196,6 @@ def load_dataset(path, descriptor: dict | None = None) -> ExpressionTensor:
             f"{path}: ragged time grid: condition {conditions[c]!r} has no rows "
             f"for time point(s) {', '.join(repr(t) for t in gaps)}"
         )
-
-    if descriptor:
-        for key, got in zip(("genes", "conditions", "times"), shape):
-            want = descriptor.get(key)
-            if want is not None and got != want:
-                raise DatasetFormatError(
-                    f"{path}: descriptor expects {want} {key}, file has {got}"
-                )
 
     values = np.full(shape, np.nan)
     mask = np.ones(shape, dtype=bool)
@@ -390,6 +379,13 @@ def impute_missing(tensor: ExpressionTensor, seed: int) -> ExpressionTensor:
     )
 
 
+def _integer(value, name: str) -> int:
+    # JSON true/false and floats such as 4.5 are not integers here.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic tensor with planted coherent regions.
@@ -407,7 +403,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "dims") for d in self.dims)
         if len(dims) != 3 or min(dims) < 1:
             raise ValueError(f"dims must be three positive sizes, got {self.dims}")
         planted = tuple((coords, pattern) for coords, pattern in self.planted)
@@ -428,34 +424,31 @@ class SyntheticSpec:
             raise ValueError(
                 f"unknown background {self.background!r}; expected {BACKGROUNDS}"
             )
+        seed = _integer(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "planted", planted)
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
-    def from_json(cls, path) -> "SyntheticSpec":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+    def from_dict(cls, raw) -> "SyntheticSpec":
+        """Spec of a parsed JSON document; KeyError, TypeError or ValueError
+        for a malformed one."""
         if not isinstance(raw, dict):
-            raise ValueError(
-                f"{path}: invalid synthetic spec: expected a JSON object, "
-                f"got {type(raw).__name__}"
-            )
-        try:
-            planted = tuple(
-                (TriclusterCoords.from_dict(p), p["pattern"])
-                for p in raw.get("planted", [])
-            )
-            return cls(
-                dims=tuple(raw["dims"]),
-                planted=planted,
-                noise_sigma=raw.get("noise_sigma", 0.0),
-                background=raw.get("background", BACKGROUND_UNIFORM01),
-                seed=raw.get("seed", 0),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: invalid synthetic spec: {exc}") from exc
+            raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+        planted = tuple(
+            (TriclusterCoords.from_dict(p), p["pattern"])
+            for p in raw.get("planted", [])
+        )
+        return cls(
+            dims=tuple(raw["dims"]),
+            planted=planted,
+            noise_sigma=raw.get("noise_sigma", 0.0),
+            background=raw.get("background", BACKGROUND_UNIFORM01),
+            seed=raw.get("seed", 0),
+        )
 
 
 def _check_disjoint(planted) -> None:

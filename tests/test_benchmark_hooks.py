@@ -1,20 +1,83 @@
 """The benchmark tracer patches trievolve functions by module attribute.
 
 ``perfbench/tracer.py`` names each hook in ``PATCH_POINTS``; a renamed or
-deleted hook would break only the benchmark, so tier-1 checks them here.
-The tracer module is imported, never modified.
+deleted hook, or a call that stops going through one, would break only the
+benchmark, so tier-1 checks them here.  The tracer module is imported, never
+modified.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+from trievolve import cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
+# Spans each command must record.  cli.fitness and engine.fitness both record
+# as quality.fitness, so evaluate (cli.fitness) and run (engine.fitness) are
+# traced apart.
+SPANS = {
+    "generate": {"tensor_io.generate_synthetic", "tensor_io.export_csv"},
+    "run": {
+        "tensor_io.load_dataset", "tensor_io.limit_genes",
+        "tensor_io.normalize_minmax", "tensor_io.impute_missing",
+        "engine.run_triea", "engine.evolve_one_tricluster",
+        "engine.init_population", "engine.crossover", "engine.mutate",
+        "engine.repair", "engine.decode",
+        "quality.fitness", "quality.msr3d", "quality.lsl",
+    },
+    "evaluate": {
+        "tensor_io.load_dataset", "tensor_io.normalize_minmax",
+        "tensor_io.impute_missing",
+        "quality.fitness", "quality.msr3d", "quality.lsl",
+    },
+}
 
-def test_every_patch_point_is_a_callable_attribute():
+
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def span_name(fn) -> str:
+    return f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+
+
+def test_every_patch_point_is_a_callable_attribute():
+    tracer = load_tracer()
     assert tracer.PATCH_POINTS
     for module, attr in tracer.PATCH_POINTS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_commands_reach_every_patch_point(tmp_path):
+    tracer_module = load_tracer()
+    hooks = {span_name(getattr(m, a)) for m, a in tracer_module.PATCH_POINTS}
+    assert set().union(*SPANS.values()) == hooks
+
+    spec, gen = tmp_path / "spec.json", tmp_path / "gen"
+    csv = gen / "tensor.csv"
+    spec.write_text(json.dumps({"dims": [8, 3, 4], "seed": 5}))
+    coords = tmp_path / "coords.json"
+    coords.write_text(json.dumps({"genes": [0, 1, 2], "conditions": [0, 1], "times": [1, 2]}))
+    archive = tmp_path / "archive.json"
+    archive.write_text(json.dumps(
+        {"entries": [{"genes": [3, 4], "conditions": [0, 2], "times": [0, 3]}]}
+    ))
+    commands = {
+        "generate": ["generate", "--spec", str(spec), "--out", str(gen)],
+        "run": ["run", "--input", str(csv), "--out", str(tmp_path / "run"),
+                "--genes-limit", "6", "--pop", "4", "--generations", "3",
+                "--n-triclusters", "1", "--seed", "1"],
+        "evaluate": ["evaluate", "--input", str(csv), "--coords", str(coords),
+                     "--normalize", "--archive", str(archive)],
+    }
+    for name, argv in commands.items():
+        tracer = tracer_module.Tracer()
+        with tracer.installed():
+            assert tracer.root(cli.main, argv) in (0, 4), name
+        missing = {s for s in SPANS[name] if not tracer.calls[s]}
+        assert not missing, f"{name} recorded no call of {sorted(missing)}"

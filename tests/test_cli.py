@@ -1,7 +1,12 @@
+import contextlib
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trievolve import (
     QualityWeights,
@@ -12,6 +17,7 @@ from trievolve import (
     generate_synthetic,
     load_dataset,
 )
+from trievolve import cli
 from trievolve.cli import main
 
 from conftest import make_tensor
@@ -410,6 +416,298 @@ class TestEvaluate:
         assert main([
             "evaluate", "--input", str(dataset_csv), "--coords", str(coords_path),
         ]) == 3
+
+
+COORDS = {"genes": [0, 1], "conditions": [0, 1], "times": [0, 1]}
+FIELD_LIMIT = csv.field_size_limit()
+
+
+class Inputs:
+    """Files for one failure case: a good CSV, coords and spec, a directory,
+    a plain file, and JSON or CSV files built on request."""
+
+    def __init__(self, tmp_path, good_csv):
+        self.tmp, self.csv = tmp_path, str(good_csv)
+        self.dir = str(tmp_path)
+        self.file = self.write("plain.txt", b"x")
+        self.out = str(tmp_path / "out")
+        self.coords = self.json("coords.json", COORDS)
+
+    def write(self, name, data: bytes) -> str:
+        path = self.tmp / name
+        path.write_bytes(data)
+        return str(path)
+
+    def json(self, name, payload) -> str:
+        return self.write(name, json.dumps(payload).encode())
+
+    def spec(self, **changes) -> str:
+        return self.json("spec.json", {"dims": [6, 4, 4], "seed": 3, **changes})
+
+    def csv_with_row(self, row: bytes) -> str:
+        with open(self.csv, "rb") as fh:
+            return self.write("fault.csv", fh.read() + row + b"\n")
+
+    def run(self, csv=None, out=None):
+        return ["run", "--input", csv or self.csv, "--out", out or self.out,
+                "--generations", "2", "--n-triclusters", "1"]
+
+    def evaluate(self, csv=None, coords=None, archive=None):
+        argv = ["evaluate", "--input", csv or self.csv, "--coords", coords or self.coords]
+        return argv + (["--archive", archive] if archive else [])
+
+    def generate(self, spec=None, out=None):
+        return ["generate", "--spec", spec or self.spec(), "--out", out or self.out]
+
+
+UNDECODABLE = b"g\xff,c0,0,0.5"
+LONG_FIELD = b"g" + b"x" * FIELD_LIMIT + b",c0,0,0.5"
+
+# (case, exit code, argv built from an Inputs)
+FAILURES = [
+    ("input-directory-run", 3, lambda f: f.run(csv=f.dir)),
+    ("input-directory-evaluate", 3, lambda f: f.evaluate(csv=f.dir)),
+    ("coords-directory", 2, lambda f: f.evaluate(coords=f.dir)),
+    ("archive-directory", 2, lambda f: f.evaluate(archive=f.dir)),
+    ("spec-directory", 2, lambda f: f.generate(spec=f.dir)),
+    ("out-is-a-file-run", 2, lambda f: f.run(out=f.file)),
+    ("out-is-a-file-generate", 2, lambda f: f.generate(out=f.file)),
+    ("undecodable-csv-run", 3, lambda f: f.run(csv=f.csv_with_row(UNDECODABLE))),
+    ("undecodable-csv-evaluate", 3,
+     lambda f: f.evaluate(csv=f.csv_with_row(UNDECODABLE))),
+    ("long-field-csv-run", 3, lambda f: f.run(csv=f.csv_with_row(LONG_FIELD))),
+    ("long-field-csv-evaluate", 3,
+     lambda f: f.evaluate(csv=f.csv_with_row(LONG_FIELD))),
+    ("spec-negative-seed", 2, lambda f: f.generate(spec=f.spec(seed=-1))),
+    # JSON integers are taken strictly: no truncation, no true/false.
+    ("spec-float-seed", 2, lambda f: f.generate(spec=f.spec(seed=1.5))),
+    ("spec-bool-seed", 2, lambda f: f.generate(spec=f.spec(seed=True))),
+    ("spec-float-dims", 2, lambda f: f.generate(spec=f.spec(dims=[4.5, 3, 3]))),
+    ("coords-bool-index", 2, lambda f: f.evaluate(
+        coords=f.json("c.json", {**COORDS, "times": [0, True]}))),
+    ("archive-bool-index", 2, lambda f: f.evaluate(
+        archive=f.json("a.json", {"entries": [{**COORDS, "genes": [False, 1]}]}))),
+]
+
+
+class TestFailureClasses:
+    @pytest.mark.parametrize(
+        "code, argv", [pytest.param(c, a, id=case) for case, c, a in FAILURES]
+    )
+    def test_exit_code(self, dataset_csv, tmp_path, capsys, code, argv):
+        assert main(argv(Inputs(tmp_path, dataset_csv))) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "payload", [[], {"seed": 1}, {"dims": [4, 4, 4], "planted": 5}]
+    )
+    def test_spec_error_named_once(self, dataset_csv, tmp_path, capsys, payload):
+        f = Inputs(tmp_path, dataset_csv)
+        assert main(f.generate(spec=f.json("spec.json", payload))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid synthetic spec: ")
+        assert err.count("invalid synthetic spec") == 1
+
+    def test_out_file_stops_run_before_ga_work(
+        self, dataset_csv, tmp_path, capsys, monkeypatch
+    ):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran")
+
+        monkeypatch.setattr(cli, "run_triea", no_ga)
+        f = Inputs(tmp_path, dataset_csv)
+        assert main(f.run(out=f.file)) == 2
+        assert "cannot make directory" in capsys.readouterr().err
+
+
+# JSON values of every kind, nested a few levels deep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+INDEX_LISTS = st.one_of(
+    st.lists(
+        st.integers(-3, 14) | st.integers(2**62, 2**80) | st.booleans()
+        | st.floats() | st.none() | st.text(max_size=2)
+        | st.lists(st.integers(0, 3), max_size=2),
+        max_size=5,
+    ),
+    JSON_VALUES,
+)
+# Well-formed coords: an axis either fits the 12x4x5 dataset with two or more
+# indices, or may run past it or hold one index.
+WELL_FORMED = st.fixed_dictionaries({
+    key: st.lists(st.integers(0, 3), min_size=2, max_size=3, unique=True)
+    | st.lists(st.integers(0, 14), min_size=1, max_size=3)
+    for key in ("genes", "conditions", "times")
+})
+# Payloads of every shape, nearly all malformed.
+MOSTLY_MALFORMED = st.one_of(
+    WELL_FORMED.map(lambda d: {**d, "genes": [*d["genes"], True]}),
+    WELL_FORMED.map(lambda d: {**d, "times": [float(i) for i in d["times"]]}),
+    st.fixed_dictionaries(
+        {"genes": INDEX_LISTS, "conditions": INDEX_LISTS, "times": INDEX_LISTS},
+        optional={"f": JSON_VALUES},
+    ),
+    st.fixed_dictionaries(
+        {}, optional={"genes": INDEX_LISTS, "conditions": INDEX_LISTS, "times": INDEX_LISTS}
+    ),
+    JSON_VALUES,
+)
+
+
+def half_and_half(a, b):
+    # st.one_of would flatten nested choices and draw evenly among them all.
+    return st.booleans().flatmap(lambda pick_a: a if pick_a else b)
+
+
+COORDS_PAYLOADS = half_and_half(WELL_FORMED, MOSTLY_MALFORMED)
+ARCHIVE_PAYLOADS = half_and_half(
+    st.none() | st.fixed_dictionaries({"entries": st.lists(WELL_FORMED, max_size=2)}),
+    st.fixed_dictionaries({"entries": st.lists(COORDS_PAYLOADS, max_size=3)})
+    | st.fixed_dictionaries({"entries": JSON_VALUES})
+    | JSON_VALUES,
+)
+
+
+def _axes(payload):
+    """Distinct indices per axis of a well-formed coords payload, else None."""
+    if not isinstance(payload, dict):
+        return None
+    axes = []
+    for key in ("genes", "conditions", "times"):
+        raw = payload.get(key)
+        if not isinstance(raw, list) or not raw or any(
+            isinstance(i, bool) or not isinstance(i, int) or i < 0 for i in raw
+        ):
+            return None
+        axes.append(set(raw))
+    return axes
+
+
+def _fits(axes, shape) -> bool:
+    return all(max(idx) < n for idx, n in zip(axes, shape))
+
+
+def expected_evaluate_code(coords, archive, shape) -> int:
+    """The documented exit code of ``evaluate``, checks in the order it runs
+    them: the coords file, each archive entry, then the scoring."""
+    axes = _axes(coords)
+    if axes is None:
+        return 2
+    if archive is not None:
+        if not isinstance(archive, dict) or not isinstance(archive.get("entries"), list):
+            return 2
+        for entry in archive["entries"]:
+            entry_axes = _axes(entry)
+            if entry_axes is None:
+                return 2
+            if not _fits(entry_axes, shape):
+                return 3
+    if not _fits(axes, shape):
+        return 3
+    if min(map(len, axes)) < 2:
+        return 2
+    return 0
+
+
+# A fault and where it goes, as fractions of the file's bytes or rows.
+CSV_FAULTS = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.sampled_from([
+            b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",  # undecodable
+            b"x" * (FIELD_LIMIT + 1),  # a field past the csv module's limit
+        ]),
+        st.floats(0, 1),
+    ),
+    st.tuples(
+        st.just("row"),
+        st.sampled_from([
+            b"g0,c0,0,nan", b"g0,c0,0,-inf", b"g0,c0,0,abc", b"g0,c0,0",
+            b"g0,c0,0,1,2", b",c0,0,0.5", b"g0,c0,,0.5", b"",
+        ]),
+        st.floats(0, 1),
+    ),
+    st.tuples(st.just("duplicate"), st.floats(0, 1), st.floats(0, 1)),
+    st.tuples(st.sampled_from(["header", "empty", "directory", "missing"])),
+)
+
+
+def faulty_csv(good_csv, work, fault) -> str:
+    """Path of a copy of ``good_csv`` with ``fault`` in it."""
+    kind, *where = fault
+    if kind == "directory":
+        return str(work)
+    path = work / "fault.csv"
+    if kind == "missing":
+        path.unlink(missing_ok=True)
+        return str(path)
+    data = good_csv.read_bytes()
+    lines = data.split(b"\r\n")[:-1]
+    if kind == "insert":
+        fault_bytes, at = where
+        at = round(at * len(data))
+        data = data[:at] + fault_bytes + data[at:]
+    elif kind == "row":
+        row, at = where
+        lines[1 + round(at * (len(lines) - 2))] = row
+        data = b"\n".join(lines)
+    elif kind == "duplicate":
+        i, j = (1 + round(x * (len(lines) - 2)) for x in where)
+        lines[i] = lines[j if j != i else i % (len(lines) - 1) + 1]
+        data = b"\n".join(lines)
+    elif kind == "header":
+        data = b"gene,condition,time\n" + b"\n".join(lines[1:])
+    else:
+        data = b""
+    path.write_bytes(data)
+    return str(path)
+
+
+def main_in_process(argv):
+    """Exit code and stderr of ``main``; any exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(coords=COORDS_PAYLOADS, archive=ARCHIVE_PAYLOADS)
+    def test_evaluate_payloads(self, dataset_csv, fuzz_dir, coords, archive):
+        coords_path = fuzz_dir / "coords.json"
+        coords_path.write_text(json.dumps(coords))
+        argv = ["evaluate", "--input", str(dataset_csv), "--coords", str(coords_path)]
+        if archive is not None:
+            archive_path = fuzz_dir / "archive.json"
+            archive_path.write_text(json.dumps(archive))
+            argv += ["--archive", str(archive_path)]
+        code, err = main_in_process(argv)
+        assert code == expected_evaluate_code(coords, archive, (12, 4, 5))
+        assert err.startswith("error:") == (code != 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fault=CSV_FAULTS)
+    def test_evaluate_csv_faults(self, dataset_csv, fuzz_dir, fault):
+        coords_path = fuzz_dir / "ok.json"
+        coords_path.write_text(json.dumps(COORDS))
+        code, err = main_in_process([
+            "evaluate", "--input", faulty_csv(dataset_csv, fuzz_dir, fault),
+            "--coords", str(coords_path),
+        ])
+        assert code == 3
+        assert err.startswith("error:")
 
 
 class TestParser:

@@ -65,6 +65,12 @@ class TestCoords:
         with pytest.raises(ValueError):
             TriclusterCoords((-1, 2), (0, 1), (0, 1))
 
+    def test_from_dict_rejects_bools(self):
+        with pytest.raises(TypeError, match="true/false"):
+            TriclusterCoords.from_dict(
+                {"genes": [0, 1], "conditions": [0, 1], "times": [0, True]}
+            )
+
     def test_jaccard(self):
         a = TriclusterCoords((0, 1), (0, 1), (0, 1))
         assert jaccard_cells(a, a) == 1.0

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -162,13 +163,6 @@ class TestLoadDataset:
             return sorted(cells, key=repr)
 
         assert multiset(src) == multiset(out)
-
-    def test_descriptor_checks_axis_sizes(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", ["a,x,1,0.1", "a,x,2,0.2", "b,x,1,0.3", "b,x,2,0.4"])
-        t = load_dataset(p, descriptor={"genes": 2, "conditions": 1, "times": 2})
-        assert t.shape == (2, 1, 2)
-        with pytest.raises(DatasetFormatError, match="descriptor expects 5 genes"):
-            load_dataset(p, descriptor={"genes": 5})
 
 
 # Labels that need quoting (commas, quotes, line breaks) beside plain ones.
@@ -443,15 +437,26 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match="fit"):
             SyntheticSpec(dims=(4, 4, 4), planted=((big, "constant"),))
 
-    def test_from_json(self, tmp_path):
-        p = tmp_path / "spec.json"
-        p.write_text(
+    @pytest.mark.parametrize("kwargs", [
+        {"dims": (4.5, 3, 3)}, {"dims": (4, True, 3)},
+        {"dims": (4, 3, 3), "seed": 1.5}, {"dims": (4, 3, 3), "seed": True},
+    ])
+    def test_integers_taken_strictly(self, kwargs):
+        with pytest.raises(TypeError, match="expected an integer"):
+            SyntheticSpec(**kwargs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SyntheticSpec(dims=(4, 3, 3), seed=-1)
+
+    def test_from_dict(self):
+        spec = SyntheticSpec.from_dict(json.loads(
             '{"dims": [6, 4, 4], "noise_sigma": 0.0, "seed": 9,'
             ' "planted": [{"genes": [0,1], "conditions": [0,1],'
             ' "times": [0,1], "pattern": "constant"}]}'
-        )
-        spec = SyntheticSpec.from_json(p)
+        ))
         assert spec.dims == (6, 4, 4)
+        assert spec.seed == 9
         assert spec.planted[0][1] == "constant"
 
 
