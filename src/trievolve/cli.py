@@ -15,7 +15,8 @@ Exit codes:
 * 2 bad flags (a negative seed or a non-integer ``$TRIEA_SEED`` included),
   a missing, unreadable or malformed JSON file (``--coords``, ``--archive``,
   ``--spec``; JSON true/false and floats are not integers), undersized
-  coordinates, or an ``--out`` that cannot be made a directory;
+  coordinates, an ``--out`` that cannot be made a directory, or an output
+  file in it that cannot be written;
 * 3 a missing, unreadable, undecodable or malformed ``--input`` CSV,
   out-of-bounds indices or a non-finite score (values too large to score;
   JSON has no infinity);
@@ -35,6 +36,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from statistics import fmean
 
@@ -176,8 +178,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def _writing(path: Path):
+    """Exit 2 when writing ``path`` fails."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"cannot write {path}: {_reason(exc)}")
+
+
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -204,7 +215,7 @@ def _archive_payload(archive: Archive, tensor: ExpressionTensor) -> dict:
 
 
 def _write_trace(path: Path, trace: GenerationTrace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         fh.write("generation,best_f,mean_f\n")
         for rec in trace.records:
             fh.write(f"{rec.generation},{rec.best_f!r},{rec.mean_f!r}\n")
@@ -339,12 +350,14 @@ def cmd_generate(args) -> int:
         raise _Exit(EXIT_OVERLAP, str(exc))
 
     out_dir = _out_dir(args.out)
-    export_csv(tensor, out_dir / "tensor.csv")
+    csv_path = out_dir / "tensor.csv"
+    with _writing(csv_path):
+        export_csv(tensor, csv_path)
     _write_json(
         out_dir / "ground_truth.json",
         {"triclusters": [c.to_dict() for c in truth]},
     )
-    print(f"wrote {out_dir / 'tensor.csv'} and ground truth for {len(truth)} region(s)")
+    print(f"wrote {csv_path} and ground truth for {len(truth)} region(s)")
     return EXIT_OK
 
 

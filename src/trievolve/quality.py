@@ -17,15 +17,24 @@ addressed by three sorted index subsets.  Candidate quality combines:
 The combined fitness is ``msr + lsl - weights - distinction`` and is
 minimized.
 
+``fitness`` gathers a candidate once, sums the block over times, conditions
+and genes, and passes it to ``msr3d`` and ``lsl`` in place of ``(tensor,
+coords)``.  The residual is the block minus one term per pair of axes, folded
+from the three pairwise means; each LSL slope is one pairwise sum's product
+with the centred x positions.  Given ``(tensor, coords)``, ``msr3d``, ``lsl``,
+``view_slopes`` and ``residual`` gather their own block.
+
 All functions are pure and operate on immutable inputs, so evaluating many
 candidates concurrently against one shared tensor is safe.  ``tensor``
 arguments accept either an :class:`~trievolve.tensor_io.ExpressionTensor` or
 a bare 3D ``numpy`` array.
 """
 
+import dataclasses
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,11 +92,7 @@ class TriclusterCoords:
         return self.n_genes * self.n_conditions * self.n_times
 
     def to_dict(self) -> dict:
-        return {
-            "genes": list(self.genes),
-            "conditions": list(self.conditions),
-            "times": list(self.times),
-        }
+        return {name: list(idx) for name, idx in dataclasses.asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TriclusterCoords":
@@ -121,11 +126,8 @@ def _values(tensor) -> np.ndarray:
 
 
 def _check_bounds(values: np.ndarray, coords: TriclusterCoords) -> None:
-    for name, idx, limit in (
-        ("gene", coords.genes, values.shape[0]),
-        ("condition", coords.conditions, values.shape[1]),
-        ("time", coords.times, values.shape[2]),
-    ):
+    axes = (coords.genes, coords.conditions, coords.times)
+    for name, idx, limit in zip(("gene", "condition", "time"), axes, values.shape):
         if idx[-1] >= limit:
             raise IndexError(
                 f"{name} index {idx[-1]} out of bounds for axis of length {limit}"
@@ -136,8 +138,8 @@ def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
     _check_bounds(values, coords)
     # Three chained takes build the same C-contiguous block as
     # ``values[np.ix_(genes, conditions, times)]`` in about half the time.
-    # The block must stay C-contiguous: the reductions of msr3d and lsl
-    # round differently over another memory layout.
+    # The block must stay C-contiguous: its einsum sums round differently
+    # over another memory layout.
     return (
         values.take(coords.genes, 0)
         .take(coords.conditions, 1)
@@ -145,19 +147,39 @@ def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
     )
 
 
-def _residual_tensor(sub: np.ndarray) -> np.ndarray:
-    # Residue of each cell against the additive (gene + condition + time)
-    # model: value plus the three single-axis marginal means, minus the three
-    # pairwise marginal means, minus the grand mean.  Accumulated in place,
-    # term by term in this order, so the result is bit-identical to the
-    # left-to-right sum of the eight terms.
-    r = sub + sub.mean(axis=(0, 1))[None, None, :]
-    r += sub.mean(axis=(0, 2))[None, :, None]
-    r += sub.mean(axis=(1, 2))[:, None, None]
-    r -= sub.mean(axis=0)[None, :, :]
-    r -= sub.mean(axis=1)[:, None, :]
-    r -= sub.mean(axis=2)[:, :, None]
-    r -= sub.mean()
+class _Block(NamedTuple):
+    """A gathered subtensor and its sums over times, conditions and genes.
+    ``_residual`` overwrites ``sub``; the slopes read only the sums."""
+
+    sub: np.ndarray  # (genes, conditions, times)
+    s_gc: np.ndarray  # summed over times
+    s_gt: np.ndarray  # summed over conditions
+    s_ct: np.ndarray  # summed over genes
+
+
+def _block(tensor, coords: TriclusterCoords | None) -> _Block:
+    if isinstance(tensor, _Block):
+        return tensor
+    sub = _subtensor(_values(tensor), coords)
+    # einsum sums a short or strided axis several times faster than
+    # ``sum(axis=...)``.  Unlike BLAS products, it rounds the same whatever
+    # the thread count, so scores do not depend on the machine's cores.
+    sums = (np.einsum(f"gct->{axes}", sub) for axes in ("gc", "gt", "ct"))
+    return _Block(sub, *sums)
+
+
+def _residual(b: _Block) -> np.ndarray:
+    # The residue x - m_gc - m_gt - m_ct + m_g + m_c + m_t - m, formed in
+    # place in the block's gather: the single-axis means and the grand mean
+    # are folded into the three pairwise means, one subtraction per pair.
+    n_g, n_c, n_t = b.sub.shape
+    m_gc, m_gt, m_ct = b.s_gc / n_t, b.s_gt / n_c, b.s_ct / n_g
+    m_g = np.einsum("gc->g", m_gc) / n_c
+    m_c, m_t = m_ct.sum(axis=1) / n_t, m_ct.sum(axis=0) / n_c
+    r = b.sub
+    r -= (m_gc - m_g[:, None])[:, :, None]
+    r -= (m_gt - m_t)[:, None, :]
+    r -= m_ct - m_c[:, None] + m_t.sum() / n_t
     return r
 
 
@@ -172,55 +194,40 @@ def residual(tensor, coords: TriclusterCoords, g: int, c: int, t: int) -> float:
         ti = coords.times.index(t)
     except ValueError:
         raise ValueError(f"cell ({g}, {c}, {t}) is outside the tricluster") from None
-    sub = _subtensor(_values(tensor), coords)
-    return float(_residual_tensor(sub)[gi, ci, ti])
+    return float(_residual(_block(tensor, coords))[gi, ci, ti])
 
 
-def msr3d(tensor, coords: TriclusterCoords) -> float:
+def msr3d(tensor, coords: TriclusterCoords | None = None) -> float:
     """Mean squared residue over all cells of the subtensor.
 
     Zero iff the subtensor is exactly additive across its three axes; the
     measure is invariant under constant shifts and scales quadratically.
     """
-    r = _residual_tensor(_subtensor(_values(tensor), coords))
-    r *= r
-    return float(r.mean())
+    r = _residual(_block(tensor, coords))
+    return float(np.einsum("gct,gct->", r, r)) / r.size
 
 
-# One row per view: (x axis, einsum giving each line's sum_xy, axes summed
-# for each line's sum_y, replication axis).  Axes index the gathered
-# (gene, condition, time) block.
-_VIEW_TABLE = {
-    VIEW_TIME: (0, "g,gct->t", (0, 1), 1),
-    VIEW_CONDITION: (0, "g,gct->c", (0, 2), 2),
-    VIEW_GENE: (2, "t,gct->c", (0, 2), 0),
-}
-_AXIS_NAMES = ("genes", "conditions", "times")
-
-
-def _slopes(sub: np.ndarray, axis: str, mode: str) -> np.ndarray:
-    # Least-squares slope of every line of one view of a gathered block,
-    # (n*sum_xy - sum_x*sum_y) / (n*sum_xx - sum_x**2) element-wise.
+def _slopes(b: _Block, axis: str, mode: str) -> np.ndarray:
+    # A view is a (line, x position) matrix of y summed over its replication
+    # axis.  With x centred, (n*sum_xy - sum_x*sum_y) / (n*sum_xx - sum_x**2)
+    # is ys @ xc / (replication * xc @ xc); paper-literal drops replication.
     if mode not in SLOPE_MODES:
         raise ValueError(f"unknown slope mode {mode!r}; expected one of {SLOPE_MODES}")
-    if axis not in _VIEW_TABLE:
-        raise ValueError(f"unknown view {axis!r}; expected one of {VIEWS}")
-    x_axis, subscripts, y_axes, rep_axis = _VIEW_TABLE[axis]
-    base_n, replication = sub.shape[x_axis], sub.shape[rep_axis]
-    if base_n < 2:
-        raise SizePreconditionError(
-            f"{axis} needs at least 2 {_AXIS_NAMES[x_axis]}, got {base_n}"
-        )
-    xs = np.arange(base_n, dtype=np.float64)
-    sum_x, sum_xx = float(xs.sum()), float((xs * xs).sum())
-    sum_y = sub.sum(axis=y_axes)
-    sum_xy = np.einsum(subscripts, xs, sub)
-    if mode == MODE_OLS:
-        n, sx, sxx = base_n * replication, replication * sum_x, replication * sum_xx
+    n_g, n_c, n_t = b.sub.shape
+    if axis == VIEW_TIME:
+        ys, replication, x_name = b.s_gt.T, n_c, "genes"
+    elif axis == VIEW_CONDITION:
+        ys, replication, x_name = b.s_gc.T, n_t, "genes"
+    elif axis == VIEW_GENE:
+        ys, replication, x_name = b.s_ct, n_g, "times"
     else:
-        n, sx, sxx = base_n, sum_x, sum_xx
-    # At least two distinct x positions make the denominator positive.
-    return (n * sum_xy - sx * sum_y) / (n * sxx - sx * sx)
+        raise ValueError(f"unknown view {axis!r}; expected one of {VIEWS}")
+    base_n = ys.shape[1]
+    if base_n < 2:
+        raise SizePreconditionError(f"{axis} needs at least 2 {x_name}, got {base_n}")
+    xc = np.arange(base_n, dtype=np.float64) - (base_n - 1) / 2
+    scale = (replication if mode == MODE_OLS else 1) * float(xc @ xc)
+    return np.einsum("lx,x->l", ys, xc) / scale
 
 
 def view_slopes(
@@ -248,30 +255,32 @@ def view_slopes(
     without the replication factor of the second summation index; the two
     modes differ by exactly that factor.
     """
-    return _slopes(_subtensor(_values(tensor), coords), axis, mode)
+    return _slopes(_block(tensor, coords), axis, mode)
 
 
 def _mean_pairwise_distance(s: np.ndarray) -> float:
-    # Sum of |s_i - s_j| over ordered pairs, divided by (n-1)*n.
+    # Sum of |s_i - s_j| over ordered pairs, divided by (n-1)*n: the k-th
+    # smallest (0-based) enters with a net weight of 2k - n + 1.  Shifting
+    # by the smallest keeps a large common offset out of the weighted sum.
     n = s.size
-    total = float(np.abs(s[:, None] - s[None, :]).sum())
-    return total / ((n - 1) * n)
+    s = np.sort(s)
+    s -= s[0]
+    return 2.0 * float(np.einsum("k,k->", np.arange(1 - n, n, 2.0), s)) / ((n - 1) * n)
 
 
-def lsl(tensor, coords: TriclusterCoords, mode: str = MODE_OLS) -> float:
+def lsl(tensor, coords: TriclusterCoords | None = None, mode: str = MODE_OLS) -> float:
     """Least-squares-line measure: mean over the three views of the average
     pairwise distance between that view's fitted slopes.
 
     Requires at least 2 selected genes, conditions and times; callers must
     repair degenerate candidates first.
     """
-    if coords.n_genes < 2 or coords.n_conditions < 2 or coords.n_times < 2:
+    b = _block(tensor, coords)
+    if min(b.sub.shape) < 2:
         raise SizePreconditionError(
-            "lsl needs >= 2 selected indices per axis, got "
-            f"({coords.n_genes}, {coords.n_conditions}, {coords.n_times})"
+            f"lsl needs >= 2 selected indices per axis, got {b.sub.shape}"
         )
-    sub = _subtensor(_values(tensor), coords)
-    t_r, c_r, g_r = (_mean_pairwise_distance(_slopes(sub, v, mode)) for v in VIEWS)
+    t_r, c_r, g_r = (_mean_pairwise_distance(_slopes(b, v, mode)) for v in VIEWS)
     return (t_r + c_r + g_r) / 3.0
 
 
@@ -312,19 +321,13 @@ def distinction_term(coords: TriclusterCoords, archive, w: QualityWeights) -> fl
     empty archive; larger means more novel, and the term is subtracted from
     fitness so novelty is rewarded.
     """
-    if archive is None:
-        covered_g = covered_c = covered_t = frozenset()
-    else:
-        covered_g = archive.covered_genes
-        covered_c = archive.covered_conditions
-        covered_t = archive.covered_times
-    cdn_g = sum(1 for g in coords.genes if g not in covered_g)
-    cdn_c = sum(1 for c in coords.conditions if c not in covered_c)
-    cdn_t = sum(1 for t in coords.times if t not in covered_t)
-    return (
-        (cdn_g / coords.n_genes) * w.wd_g
-        + (cdn_c / coords.n_conditions) * w.wd_c
-        + (cdn_t / coords.n_times) * w.wd_t
+    axes = (coords.genes, coords.conditions, coords.times)
+    covered = (frozenset(),) * 3 if archive is None else (
+        archive.covered_genes, archive.covered_conditions, archive.covered_times
+    )
+    return sum(
+        len(set(idx).difference(cov)) / len(idx) * wd
+        for idx, cov, wd in zip(axes, covered, (w.wd_g, w.wd_c, w.wd_t))
     )
 
 
@@ -347,13 +350,7 @@ class FitnessBreakdown:
         return cls(msr, lsl, weights, distinction, msr + lsl - weights - distinction)
 
     def to_dict(self) -> dict:
-        return {
-            "msr": self.msr,
-            "lsl": self.lsl,
-            "weights": self.weights,
-            "distinction": self.distinction,
-            "f": self.f,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitnessBreakdown":
@@ -372,9 +369,11 @@ def fitness(
     May be negative: the size and novelty rewards can exceed the residue
     terms for large, near-perfect candidates.
     """
+    # One gather per call: msr3d and lsl read the same block.
+    block = _block(tensor, coords)
     return FitnessBreakdown.compose(
-        msr=msr3d(tensor, coords),
-        lsl=lsl(tensor, coords, mode),
+        msr=msr3d(block),
+        lsl=lsl(block, mode=mode),
         weights=float(weights_term(coords, w)),
         distinction=float(distinction_term(coords, archive, w)),
     )

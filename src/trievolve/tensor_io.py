@@ -35,6 +35,9 @@ PATTERNS = (PATTERN_CONSTANT, PATTERN_ADDITIVE, PATTERN_MULTIPLICATIVE)
 BACKGROUND_UNIFORM01 = "uniform01"
 BACKGROUND_GAUSSIAN = "gaussian"
 BACKGROUNDS = (BACKGROUND_UNIFORM01, BACKGROUND_GAUSSIAN)
+# The most cells a synthetic tensor may hold (800 MB of values); specs are
+# checked against it before anything is allocated.
+_MAX_SYNTHETIC_CELLS = 10**8
 
 
 class DatasetFormatError(ValueError):
@@ -406,6 +409,11 @@ class SyntheticSpec:
         dims = tuple(_integer(d, "dims") for d in self.dims)
         if len(dims) != 3 or min(dims) < 1:
             raise ValueError(f"dims must be three positive sizes, got {self.dims}")
+        if math.prod(dims) > _MAX_SYNTHETIC_CELLS:
+            raise ValueError(
+                f"dims {dims} hold {math.prod(dims)} cells; "
+                f"at most {_MAX_SYNTHETIC_CELLS} are generated"
+            )
         planted = tuple((coords, pattern) for coords, pattern in self.planted)
         for coords, pattern in planted:
             if pattern not in PATTERNS:
@@ -416,6 +424,8 @@ class SyntheticSpec:
                 or coords.times[-1] >= dims[2]
             ):
                 raise ValueError(f"planted coords {coords} do not fit in dims {dims}")
+        if isinstance(self.noise_sigma, bool):
+            raise TypeError(f"noise_sigma: expected a number, got {self.noise_sigma!r}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"

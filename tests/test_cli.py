@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +445,11 @@ class Inputs:
     def spec(self, **changes) -> str:
         return self.json("spec.json", {"dims": [6, 4, 4], "seed": 3, **changes})
 
+    def out_with_dir(self, name: str) -> str:
+        """``--out`` with a directory where the output ``name`` goes."""
+        (self.tmp / "out" / name).mkdir(parents=True)
+        return self.out
+
     def csv_with_row(self, row: bytes) -> str:
         with open(self.csv, "rb") as fh:
             return self.write("fault.csv", fh.read() + row + b"\n")
@@ -483,6 +489,8 @@ FAILURES = [
     ("spec-float-seed", 2, lambda f: f.generate(spec=f.spec(seed=1.5))),
     ("spec-bool-seed", 2, lambda f: f.generate(spec=f.spec(seed=True))),
     ("spec-float-dims", 2, lambda f: f.generate(spec=f.spec(dims=[4.5, 3, 3]))),
+    ("spec-bool-noise", 2, lambda f: f.generate(spec=f.spec(noise_sigma=True))),
+    ("spec-huge-dims", 2, lambda f: f.generate(spec=f.spec(dims=[10**20, 3, 3]))),
     ("coords-bool-index", 2, lambda f: f.evaluate(
         coords=f.json("c.json", {**COORDS, "times": [0, True]}))),
     ("archive-bool-index", 2, lambda f: f.evaluate(
@@ -520,6 +528,20 @@ class TestFailureClasses:
         f = Inputs(tmp_path, dataset_csv)
         assert main(f.run(out=f.file)) == 2
         assert "cannot make directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [
+        ("generate", "tensor.csv"), ("generate", "ground_truth.json"),
+        ("run", "triclusters.json"), ("run", "trace_1.csv"), ("run", "manifest.json"),
+    ])
+    def test_failed_write_names_the_file(
+        self, dataset_csv, tmp_path, capsys, command, name
+    ):
+        f = Inputs(tmp_path, dataset_csv)
+        out = f.out_with_dir(name)
+        argv = f.generate(out=out) if command == "generate" else f.run(out=out)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {Path(out) / name}: ")
 
 
 # JSON values of every kind, nested a few levels deep.
@@ -656,7 +678,8 @@ def faulty_csv(good_csv, work, fault) -> str:
     elif kind == "row":
         row, at = where
         lines[1 + round(at * (len(lines) - 2))] = row
-        data = b"\n".join(lines)
+        # The closing newline keeps an empty last row a blank line.
+        data = b"\n".join(lines) + b"\n"
     elif kind == "duplicate":
         i, j = (1 + round(x * (len(lines) - 2)) for x in where)
         lines[i] = lines[j if j != i else i % (len(lines) - 1) + 1]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from trievolve import (
 )
 from trievolve.engine import Archive
 from trievolve import naive
-from trievolve.quality import _subtensor
+from trievolve import quality
+from trievolve.quality import _mean_pairwise_distance, _subtensor
 
 from conftest import make_tensor, random_coords
 
@@ -300,9 +302,10 @@ class TestLsl:
         "ols",
         pytest.param("paper-literal", marks=pytest.mark.xfail(
             strict=True,
-            reason="paper-literal slopes cancel in n*sum_xy - sum_x*sum_y at "
-            "a 1e6 offset: 5 of these 300 cases miss the oracle by more than "
-            "1e-9 (up to 1.7e-9); OLS stays under 4e-10",
+            reason="at a 1e6 offset naive.lsl_naive's literal slopes cancel in "
+            "n*sum_xy - sum_x*sum_y and miss exact fractions arithmetic by "
+            "about 1.7e-9 themselves, so some of these 300 cases miss the "
+            "oracle by more than 1e-9; OLS stays under 4e-10",
         )),
     ])
     def test_matches_point_list_oracle_at_large_offset(self, rng, mode):
@@ -317,6 +320,172 @@ class TestLsl:
         coords = TriclusterCoords((0, 1), (0,), (0, 1))
         with pytest.raises(SizePreconditionError):
             lsl(np.zeros((3, 3, 3)), coords)
+
+
+VIEW_NAMES = ("time-view", "condition-view", "gene-view")
+MODES = ("ols", "paper-literal")
+
+
+@st.composite
+def ill_conditioned(draw):
+    """A random tensor, an input class and coords selecting 2 or more indices
+    per axis; axes may be only 2 wide."""
+    shape = tuple(draw(st.integers(2, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.random(shape)
+    kind = draw(st.sampled_from(
+        ["plain", "uniform", "gene", "condition", "time", "near-constant"]
+    ))
+    if kind == "uniform":
+        values = u + draw(st.floats(-1e6, 1e6))
+    elif kind == "near-constant":
+        values = 3.3 + 1e-7 * u
+    elif kind != "plain":
+        axis = ("gene", "condition", "time").index(kind)
+        offsets = rng.uniform(-1e6, 1e6, shape[axis])
+        values = u + np.expand_dims(offsets, [a for a in range(3) if a != axis])
+    else:
+        values = u
+    picks = [
+        tuple(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n)))
+        for n in shape
+    ]
+    return kind, values, TriclusterCoords(*picks)
+
+
+def exact_view_slopes(values, coords, axis, mode):
+    # The oracle's slope formulas over exact rationals of the same points.
+    lines = [
+        [(x, Fraction(y)) for x, y in points]
+        for points in naive.view_point_lists(values, coords, axis)
+    ]
+    if mode == "ols":
+        return [naive._ols_slope(points) for points in lines]
+    n_x = coords.n_times if axis == "gene-view" else coords.n_genes
+    return [naive._literal_slope(points, list(range(n_x))) for points in lines]
+
+
+def exact_residual(values, coords, g, c, t):
+    gs, cs, ts = coords.genes, coords.conditions, coords.times
+    x = {
+        (i, j, k): Fraction(float(values[i, j, k]))
+        for i in gs for j in cs for k in ts
+    }
+
+    def mean(cells):
+        cells = list(cells)
+        return sum(x[cell] for cell in cells) / len(cells)
+
+    return (
+        x[g, c, t]
+        + mean((i, j, t) for i in gs for j in cs)
+        + mean((i, c, k) for i in gs for k in ts)
+        + mean((g, j, k) for j in cs for k in ts)
+        - mean((i, c, t) for i in gs)
+        - mean((g, j, t) for j in cs)
+        - mean((g, c, k) for k in ts)
+        - mean(x)
+    )
+
+
+# The axis each view's lines are replicated over.  A paper-literal slope is
+# the OLS slope times that axis's length, and so is its rounding.
+REPLICATION = {
+    "time-view": "n_conditions", "condition-view": "n_times", "gene-view": "n_genes",
+}
+
+
+def tolerance(coords, mode, views=VIEW_NAMES) -> float:
+    """1e-9 in OLS slope units."""
+    if mode == "ols":
+        return 1e-9
+    return 1e-9 * max(getattr(coords, REPLICATION[v]) for v in views)
+
+
+class TestOracleFuzz:
+    """The one-gather kernel against naive.py on ill-conditioned inputs.
+
+    At offsets of 1e6 the oracle's own rounding reaches 1e-9 in two places:
+    paper-literal slopes, which it takes from the cancelling
+    n*sum_xy - sum_x*sum_y, and the eight-term residue.  There the kernel is
+    held to exact arithmetic over the same points instead, a stricter
+    reference.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(ill_conditioned())
+    def test_msr3d_and_lsl(self, case):
+        kind, values, coords = case
+        assert msr3d(values, coords) == pytest.approx(
+            naive.msr3d_naive(values, coords), abs=1e-9
+        )
+        for mode in MODES:
+            got = lsl(values, coords, mode)
+            if mode == "ols" or kind in ("plain", "near-constant"):
+                want = naive.lsl_naive(values, coords, mode)
+            else:
+                want = sum(
+                    naive._mean_pairwise(exact_view_slopes(values, coords, v, mode))
+                    for v in VIEW_NAMES
+                ) / 3
+            assert got == pytest.approx(float(want), abs=tolerance(coords, mode)), mode
+
+    @settings(max_examples=150, deadline=None)
+    @given(ill_conditioned())
+    def test_view_slopes(self, case):
+        # Per-axis offsets make slopes as large as the offsets, so slopes
+        # are compared relative to the largest one when that exceeds 1.
+        kind, values, coords = case
+        for mode in MODES:
+            for axis in VIEW_NAMES:
+                got = view_slopes(values, coords, axis, mode)
+                if mode == "ols" or kind in ("plain", "near-constant"):
+                    want = naive.view_slopes_naive(values, coords, axis, mode)
+                else:
+                    want = exact_view_slopes(values, coords, axis, mode)
+                    want = [float(s) for s in want]
+                tol = tolerance(coords, mode, [axis]) * max(1.0, *map(abs, want))
+                assert got == pytest.approx(want, abs=tol), (mode, axis)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ill_conditioned(), st.data())
+    def test_residual(self, case, data):
+        kind, values, coords = case
+        g, c, t = (data.draw(st.sampled_from(axis)) for axis in (
+            coords.genes, coords.conditions, coords.times
+        ))
+        if kind in ("plain", "near-constant"):
+            want = naive.residual_naive(values, coords, g, c, t)
+        else:
+            want = float(exact_residual(values, coords, g, c, t))
+        assert residual(values, coords, g, c, t) == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-3, 3).map(float),
+        min_size=2, max_size=12,
+    ))
+    def test_sorted_mean_pairwise_distance(self, slopes):
+        want = naive._mean_pairwise(slopes)
+        got = _mean_pairwise_distance(np.array(slopes))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_fitness_gathers_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(values, coords):
+            calls.append(coords)
+            return _subtensor(values, coords)
+
+        monkeypatch.setattr(quality, "_subtensor", counting)
+        values = rng.random((6, 5, 4))
+        for mode in MODES:
+            calls.clear()
+            coords = random_coords(rng, (6, 5, 4))
+            b = fitness(values, coords, QualityWeights(), mode=mode)
+            assert calls == [coords]
+            assert b.msr == msr3d(values, coords)
+            assert b.lsl == lsl(values, coords, mode)
 
 
 class TestScalingAndShift:

@@ -445,6 +445,14 @@ class TestSyntheticSpec:
         with pytest.raises(TypeError, match="expected an integer"):
             SyntheticSpec(**kwargs)
 
+    def test_bool_noise_rejected(self):
+        with pytest.raises(TypeError, match="noise_sigma"):
+            SyntheticSpec(dims=(4, 3, 3), noise_sigma=True)
+
+    def test_cell_count_capped_before_allocation(self):
+        with pytest.raises(ValueError, match="cells"):
+            SyntheticSpec(dims=(10**20, 3, 3))
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             SyntheticSpec(dims=(4, 3, 3), seed=-1)
