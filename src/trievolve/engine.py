@@ -67,7 +67,8 @@ def decode(bits: np.ndarray, dims: tuple[int, int, int]) -> TriclusterCoords:
             f"chromosome has segment sizes {tuple(map(len, indices))}; "
             "repair must run first"
         )
-    return TriclusterCoords(*indices)
+    # flatnonzero yields sorted, unique, non-negative ints.
+    return TriclusterCoords._trusted(*indices)
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def _tournament_index(fitness_values, rng) -> int:
     # Size-2 tournament: draw two distinct individuals, keep the fitter.
     if len(fitness_values) == 1:
         return 0
-    i, j = (int(k) for k in rng.choice(len(fitness_values), size=2, replace=False))
+    i, j = rng.choice(len(fitness_values), size=2, replace=False).tolist()
     # Lower f wins; ties go to the lower population index.
     if (fitness_values[i], i) <= (fitness_values[j], j):
         return i
@@ -251,7 +252,7 @@ def mutate(bits: np.ndarray, p_m: float, rng) -> np.ndarray:
 
 def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
     """Flip uniformly chosen unset bits on until every segment has >= 2."""
-    counts = [int(seg.sum()) for seg in _segments(bits, dims)]
+    counts = [np.count_nonzero(seg) for seg in _segments(bits, dims)]
     if min(counts) >= 2:
         return bits
     out = bits.copy()

@@ -74,6 +74,15 @@ class TriclusterCoords:
                 raise ValueError(f"{name} contains a negative index")
             object.__setattr__(self, name, idx)
 
+    @classmethod
+    def _trusted(cls, genes, conditions, times) -> "TriclusterCoords":
+        """Coords from tuples of plain ints that are already sorted, unique,
+        non-empty and non-negative, built without ``__post_init__``'s
+        checks; the caller vouches for them (``engine.decode``)."""
+        coords = object.__new__(cls)
+        coords.__dict__.update(genes=genes, conditions=conditions, times=times)
+        return coords
+
     @property
     def n_genes(self) -> int:
         return len(self.genes)
@@ -136,15 +145,20 @@ def _check_bounds(values: np.ndarray, coords: TriclusterCoords) -> None:
 
 def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
     _check_bounds(values, coords)
-    # Three chained takes build the same C-contiguous block as
+    # Chained takes build the same C-contiguous block as
     # ``values[np.ix_(genes, conditions, times)]`` in about half the time.
     # The block must stay C-contiguous: its einsum sums round differently
-    # over another memory layout.
-    return (
-        values.take(coords.genes, 0)
-        .take(coords.conditions, 1)
-        .take(coords.times, 2)
-    )
+    # over another memory layout.  Coords are sorted and unique, so a subset
+    # as long as its axis is the whole axis and its take is skipped.  The
+    # gene take always runs and copies, so ``_residual`` never writes into
+    # ``values``.
+    _, n_c, n_t = values.shape
+    block = values.take(coords.genes, 0)
+    if len(coords.conditions) < n_c:
+        block = block.take(coords.conditions, 1)
+    if len(coords.times) < n_t:
+        block = block.take(coords.times, 2)
+    return block
 
 
 class _Block(NamedTuple):

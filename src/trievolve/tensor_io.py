@@ -327,9 +327,10 @@ def export_csv(tensor: ExpressionTensor, path) -> None:
 
 
 def limit_genes(tensor: ExpressionTensor, n: int) -> ExpressionTensor:
-    """Keep the first ``n`` genes in file order."""
-    if n < 1:
-        raise ValueError(f"gene limit must be >= 1, got {n}")
+    """Keep the first ``n`` genes in file order; ``n`` must be at least 2,
+    the fewest genes a tricluster can hold."""
+    if n < 2:
+        raise ValueError(f"gene limit must be >= 2, got {n}")
     if n >= tensor.shape[0]:
         return tensor
     return ExpressionTensor(

@@ -454,9 +454,9 @@ class Inputs:
         with open(self.csv, "rb") as fh:
             return self.write("fault.csv", fh.read() + row + b"\n")
 
-    def run(self, csv=None, out=None):
+    def run(self, csv=None, out=None, extra=()):
         return ["run", "--input", csv or self.csv, "--out", out or self.out,
-                "--generations", "2", "--n-triclusters", "1"]
+                "--generations", "2", "--n-triclusters", "1", *extra]
 
     def evaluate(self, csv=None, coords=None, archive=None):
         argv = ["evaluate", "--input", csv or self.csv, "--coords", coords or self.coords]
@@ -478,6 +478,8 @@ FAILURES = [
     ("spec-directory", 2, lambda f: f.generate(spec=f.dir)),
     ("out-is-a-file-run", 2, lambda f: f.run(out=f.file)),
     ("out-is-a-file-generate", 2, lambda f: f.generate(out=f.file)),
+    # One gene cannot hold a tricluster: the flag is at fault, not the input.
+    ("genes-limit-1", 2, lambda f: f.run(extra=["--genes-limit", "1"])),
     ("undecodable-csv-run", 3, lambda f: f.run(csv=f.csv_with_row(UNDECODABLE))),
     ("undecodable-csv-evaluate", 3,
      lambda f: f.evaluate(csv=f.csv_with_row(UNDECODABLE))),

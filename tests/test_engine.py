@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trievolve import (
     Archive,
@@ -73,6 +75,28 @@ class TestDecodeEncode:
     def test_encode_bounds(self):
         with pytest.raises(ValueError):
             encode(TriclusterCoords((0, 9), (0, 1), (0, 1)), (5, 4, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_decode_equals_checked_constructor(self, data):
+        # decode skips TriclusterCoords' checks; its coords must still be
+        # indistinguishable from checked ones, since the archive JSON and
+        # the tracer's (coords, archive size) keys are built from them.
+        dims = tuple(data.draw(st.integers(2, 9)) for _ in range(3))
+        raw = data.draw(st.lists(st.booleans(), min_size=sum(dims), max_size=sum(dims)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = repair(np.array(raw, dtype=bool), dims, rng)
+        got = decode(bits, dims)
+        indices = [
+            [i for i, bit in enumerate(seg) if bit] for seg in _segments(bits, dims)
+        ]
+        want = TriclusterCoords(*indices)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.to_dict() == want.to_dict()
+        for axis in (got.genes, got.conditions, got.times):
+            assert type(axis) is tuple
+            assert all(type(i) is int for i in axis)
 
 
 class TestInitPopulation:

@@ -168,6 +168,32 @@ class TestSubtensor:
         with pytest.raises(IndexError):
             _subtensor(np.zeros((3, 3, 3)), TriclusterCoords((0, 1), (0, 3), (0,)))
 
+    # Axes whose coords select every index, so _subtensor skips their take.
+    @pytest.mark.parametrize("full", [
+        ("conditions",), ("times",), ("conditions", "times"),
+        ("genes", "conditions", "times"),
+    ])
+    @pytest.mark.parametrize("full_width", [2, 4])
+    def test_full_axes_leave_values_untouched(self, rng, full, full_width):
+        # _residual works in place in the block; the block must never be
+        # (a view of) the caller's tensor.
+        names = ("genes", "conditions", "times")
+        shape = tuple(full_width if n in full else 5 for n in names)
+        values = rng.random(shape)
+        before = values.copy()
+        coords = TriclusterCoords(*(
+            range(width) if n in full else (0, 2, 4) for n, width in zip(names, shape)
+        ))
+        block = _subtensor(values, coords)
+        assert block.flags.c_contiguous
+        assert not np.shares_memory(block, values)
+        for mode in MODES:
+            fitness(values, coords, QualityWeights(), mode=mode)
+            lsl(values, coords, mode)
+        msr3d(values, coords)
+        residual(values, coords, coords.genes[-1], coords.conditions[0], coords.times[1])
+        assert values.tobytes() == before.tobytes()
+
 
 class TestMsr3d:
     def test_constant_zero(self):

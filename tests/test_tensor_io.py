@@ -343,8 +343,10 @@ class TestTensorInvariants:
         assert cut.gene_ids == t.gene_ids[:3]
         np.testing.assert_array_equal(cut.values, t.values[:3])
         assert limit_genes(t, 99) is t
-        with pytest.raises(ValueError):
-            limit_genes(t, 0)
+        assert limit_genes(t, 2).shape == (2, 2, 2)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="gene limit must be >= 2"):
+                limit_genes(t, n)
 
 
 class TestNormalize:
