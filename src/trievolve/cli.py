@@ -12,11 +12,11 @@ Subcommands:
 Exit codes:
 
 * 0 success;
-* 2 bad flags (a negative seed or a non-integer ``$TRIEA_SEED`` included),
-  a missing, unreadable or malformed JSON file (``--coords``, ``--archive``,
-  ``--spec``; JSON true/false and floats are not integers), undersized
-  coordinates, an ``--out`` that cannot be made a directory, or an output
-  file in it that cannot be written;
+* 2 bad flags (a negative seed or a non-integer ``$TRIEA_SEED`` included;
+  reported before ``--input`` is read), a missing, unreadable or malformed
+  JSON file (``--coords``, ``--archive``, ``--spec``; JSON true/false and
+  floats are not integers), undersized coordinates, an ``--out`` that cannot
+  be made a directory, or an output file in it that cannot be written;
 * 3 a missing, unreadable, undecodable or malformed ``--input`` CSV,
   out-of-bounds indices or a non-finite score (values too large to score;
   JSON has no infinity);
@@ -56,6 +56,7 @@ from .tensor_io import (
     ExpressionTensor,
     RegionOverlapError,
     SyntheticSpec,
+    _check_gene_limit,
     export_csv,
     generate_synthetic,
     impute_missing,
@@ -118,10 +119,14 @@ def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _weights_from_args(args) -> QualityWeights:
-    return QualityWeights(
-        w_g=args.wg, w_c=args.wc, w_t=args.wt,
-        wd_g=args.wdg, wd_c=args.wdc, wd_t=args.wdt,
-    )
+    """The weight flags; exit 2 for a negative or non-finite weight."""
+    try:
+        return QualityWeights(
+            w_g=args.wg, w_c=args.wc, w_t=args.wt,
+            wd_g=args.wdg, wd_c=args.wdc, wd_t=args.wdt,
+        )
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,8 +222,8 @@ def _archive_payload(archive: Archive, tensor: ExpressionTensor) -> dict:
 def _write_trace(path: Path, trace: GenerationTrace) -> None:
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
         fh.write("generation,best_f,mean_f\n")
-        for rec in trace.records:
-            fh.write(f"{rec.generation},{rec.best_f!r},{rec.mean_f!r}\n")
+        for gen, rec in enumerate(trace.records):
+            fh.write(f"{gen},{rec.best.f!r},{rec.mean_f!r}\n")
 
 
 def _load(path) -> ExpressionTensor:
@@ -268,15 +273,14 @@ def cmd_run(args) -> int:
             slope_mode=args.slope_mode,
             seed=seed,
         )
+        if args.genes_limit is not None:
+            _check_gene_limit(args.genes_limit)
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, str(exc))
 
     tensor = _load(args.input)
     if args.genes_limit is not None:
-        try:
-            tensor = limit_genes(tensor, args.genes_limit)
-        except ValueError as exc:
-            raise _Exit(EXIT_USAGE, str(exc))
+        tensor = limit_genes(tensor, args.genes_limit)
     if not args.no_normalize:
         tensor = normalize_minmax(tensor)
     tensor = impute_missing(tensor, seed)
@@ -380,6 +384,7 @@ def _parse_archive(payload, values) -> Archive:
 
 def cmd_evaluate(args) -> int:
     seed = _seed(args)
+    weights = _weights_from_args(args)
     tensor = _load(args.input)
     if args.normalize:
         tensor = normalize_minmax(tensor)
@@ -396,7 +401,7 @@ def cmd_evaluate(args) -> int:
 
     try:
         breakdown: FitnessBreakdown = fitness(
-            tensor, coords, _weights_from_args(args), archive, args.slope_mode
+            tensor, coords, weights, archive, args.slope_mode
         )
     except SizePreconditionError as exc:
         raise _Exit(EXIT_USAGE, str(exc))

@@ -9,10 +9,14 @@ run's best candidate when its LSL clears the threshold, so the archive's
 coverage steers later runs toward unexplored coordinates through the
 distinction term and the overlap-avoiding initialization.
 
-One shared seeded generator drives a whole run in a fixed call order, so a
-(tensor, config, seed) triple reproduces archives and traces bit for bit.
-Fitness evaluation consumes no randomness and may be parallelized as long as
-results are collected in population order.
+Each generation after the first takes two steps.  *Breed*: the previous
+generation's best keeps row 0, and tournament selection, crossover, mutation
+and repair write every child into rows 1..P-1.  *Score*: one call scores
+those rows.  One shared seeded generator drives a whole run in a fixed call
+order, so a (tensor, config, seed) triple reproduces archives and traces bit
+for bit.  Scoring consumes no randomness and reads only the finished rows,
+so it may be batched or parallelized as long as results come back in row
+order.
 
 Scores are memoised per run: fitness is pure and a run scores every candidate
 against one frozen archive snapshot, so each distinct candidate is decoded
@@ -84,7 +88,6 @@ class GAConfig:
     n_triclusters: int = 20
     slope_mode: str = MODE_OLS
     seed: int = 0
-    elite_count: int = 1
 
     def __post_init__(self):
         if self.population_size < 1 or self.generations < 1 or self.n_triclusters < 1:
@@ -103,10 +106,6 @@ class GAConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.elite_count <= max(1, self.population_size - 1):
-            raise ValueError(
-                "elite_count must satisfy 1 <= elite_count < population_size"
-            )
 
     def accepts(self, breakdown: FitnessBreakdown) -> bool:
         """The sequential-covering guard: LSL strictly below ``delta``."""
@@ -150,15 +149,13 @@ class Archive:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    generation: int
-    best_f: float
     mean_f: float
     best: FitnessBreakdown
 
 
 @dataclass(frozen=True)
 class GenerationTrace:
-    """Per-generation convergence record of one run; generation 0 is the
+    """Per-generation convergence record of one run; record 0 is the
     freshly initialized population.
 
     ``evaluations`` counts the distinct chromosomes scored and ``memo_hits``
@@ -170,7 +167,7 @@ class GenerationTrace:
     memo_hits: int = 0
 
     def best_f_series(self) -> list[float]:
-        return [r.best_f for r in self.records]
+        return [r.best.f for r in self.records]
 
 
 def _draw_axis_subset(size: int, used: np.ndarray, rng) -> np.ndarray:
@@ -205,14 +202,12 @@ def init_population(
             chosen = _draw_axis_subset(size, used_seg, rng)
             seg[chosen] = True
             used_seg[chosen] = True
-        row[:] = repair(row, dims, rng)
+    # Every segment holds >= 2 bits, so the rows need no repair.
     return population
 
 
 def _tournament_index(fitness_values, rng) -> int:
     # Size-2 tournament: draw two distinct individuals, keep the fitter.
-    if len(fitness_values) == 1:
-        return 0
     i, j = rng.choice(len(fitness_values), size=2, replace=False).tolist()
     # Lower f wins; ties go to the lower population index.
     if (fitness_values[i], i) <= (fitness_values[j], j):
@@ -264,24 +259,21 @@ def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
     return out
 
 
-def _evaluate(values, bits, dims, config, archive, memo):
-    # ``memo`` maps a candidate's bits to its breakdown for one run.
-    key = bits.tobytes()
-    breakdown = memo.get(key)
-    if breakdown is None:
-        breakdown = fitness(
-            values,
-            decode(bits, dims),
-            config.quality_weights,
-            archive,
-            config.slope_mode,
-        )
-        memo[key] = breakdown
-    return breakdown
-
-
-def _best_index(fitness_values) -> int:
-    return min(range(len(fitness_values)), key=lambda i: (fitness_values[i], i))
+def _score(values, rows, config: GAConfig, archive, memo) -> list[FitnessBreakdown]:
+    """Breakdowns of ``rows`` in row order; ``memo`` maps a candidate's bits
+    to its breakdown for one run, so only unseen rows are decoded and scored."""
+    dims = values.shape
+    scores = []
+    for bits in rows:
+        key = bits.tobytes()
+        breakdown = memo.get(key)
+        if breakdown is None:
+            breakdown = memo[key] = fitness(
+                values, decode(bits, dims), config.quality_weights, archive,
+                config.slope_mode,
+            )
+        scores.append(breakdown)
+    return scores
 
 
 def evolve_one_tricluster(
@@ -290,10 +282,12 @@ def evolve_one_tricluster(
     """One elitist GA run against a frozen archive snapshot.
 
     The trace holds exactly ``config.generations`` records; record 0 is the
-    evaluated initial population, so a single-generation run performs no
-    evolution and returns the initial argmin.  The elites fill the first
-    rows of each generation in rank order and win ties there, so every
-    generation's best is the best so far and the final one is returned.
+    scored initial population, so a single-generation run performs no
+    evolution and returns the initial argmin.  Each later generation breeds,
+    then scores: the previous best keeps row 0 and wins ties there, children
+    fill rows 1..P-1 (a pair's second child is dropped unmutated when one row
+    is left), and one ``_score`` call scores them.  So every generation's
+    best is the best so far and the final one is returned.
     """
     values = _values(tensor)
     dims = values.shape
@@ -302,47 +296,43 @@ def evolve_one_tricluster(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
+    n = config.population_size
     memo: dict[bytes, FitnessBreakdown] = {}
     population = init_population(dims, config, archive, rng)
-    evals = [
-        _evaluate(values, bits, dims, config, archive, memo) for bits in population
-    ]
-    lookups = len(evals)
-    f_vals = [e.f for e in evals]
-    best_i = _best_index(f_vals)
-    records = [GenerationRecord(0, f_vals[best_i], fmean(f_vals), evals[best_i])]
-
-    n = config.population_size
-    for gen in range(1, config.generations):
-        order = sorted(range(n), key=lambda i: (f_vals[i], i))
-        # Elites first; the rows after them are overwritten by the children.
-        next_pop = population[order]
-        next_evals = [evals[i] for i in order[: config.elite_count]]
-        while len(next_evals) < n:
-            i = _tournament_index(f_vals, rng)
-            j = _tournament_index(f_vals, rng)
-            for child in crossover(
-                population[i], population[j], dims, config.p_crossover, rng
-            ):
-                if len(next_evals) >= n:
-                    break
-                child = repair(mutate(child, config.p_mutation, rng), dims, rng)
-                next_pop[len(next_evals)] = child
-                next_evals.append(
-                    _evaluate(values, child, dims, config, archive, memo)
+    scores = _score(values, population, config, archive, memo)
+    records = []
+    for gen in range(config.generations):
+        if gen:
+            # Breed: rank order, so row 0 holds the elite; tournaments read
+            # the previous rows and scores.
+            children = population[order]
+            for row in range(1, n, 2):
+                i = _tournament_index(f_vals, rng)
+                j = _tournament_index(f_vals, rng)
+                pair = crossover(
+                    population[i], population[j], dims, config.p_crossover, rng
                 )
-                lookups += 1
-        population, evals = next_pop, next_evals
-        f_vals = [e.f for e in evals]
-        best_i = _best_index(f_vals)
-        records.append(
-            GenerationRecord(gen, f_vals[best_i], fmean(f_vals), evals[best_i])
-        )
-    trace = GenerationTrace(tuple(records), len(memo), lookups - len(memo))
-    return (decode(population[best_i], dims), evals[best_i]), trace
+                for r, child in zip(range(row, n), pair):
+                    children[r] = repair(
+                        mutate(child, config.p_mutation, rng), dims, rng
+                    )
+            # Score: the elite keeps its breakdown.
+            population = children
+            scores = [
+                scores[order[0]],
+                *_score(values, children[1:], config, archive, memo),
+            ]
+        f_vals = [s.f for s in scores]
+        # Lower f ranks first; ties go to the lower row.
+        order = sorted(range(n), key=lambda i: (f_vals[i], i))
+        records.append(GenerationRecord(fmean(f_vals), scores[order[0]]))
+    # Every generation after the first looks up its n - 1 children.
+    memo_hits = n + (config.generations - 1) * (n - 1) - len(memo)
+    trace = GenerationTrace(tuple(records), len(memo), memo_hits)
+    return (decode(population[order[0]], dims), scores[order[0]]), trace
 
 
-def run_triea(tensor, config: GAConfig, rng=None, trace_sink=None) -> Archive:
+def run_triea(tensor, config: GAConfig, trace_sink=None) -> Archive:
     """Sequential covering: repeat the GA run, archiving each best candidate
     whose LSL is strictly below the threshold.
 
@@ -350,8 +340,7 @@ def run_triea(tensor, config: GAConfig, rng=None, trace_sink=None) -> Archive:
     iteration, so the archive may end up smaller than ``n_triclusters``.
     ``trace_sink(run_index, trace)`` is invoked for every run when given.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     archive = Archive()
     for k in range(config.n_triclusters):
         (coords, breakdown), trace = evolve_one_tricluster(

@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, count, islice, product
 
 import numpy as np
@@ -326,19 +326,24 @@ def export_csv(tensor: ExpressionTensor, path) -> None:
             writer.writerows(map(tuple.__add__, cells, zip(fields)))
 
 
-def limit_genes(tensor: ExpressionTensor, n: int) -> ExpressionTensor:
-    """Keep the first ``n`` genes in file order; ``n`` must be at least 2,
-    the fewest genes a tricluster can hold."""
+def _check_gene_limit(n: int) -> None:
+    """ValueError unless ``n`` is at least 2, the fewest genes a tricluster
+    can hold."""
     if n < 2:
         raise ValueError(f"gene limit must be >= 2, got {n}")
+
+
+def limit_genes(tensor: ExpressionTensor, n: int) -> ExpressionTensor:
+    """Keep the first ``n`` genes in file order; ``n`` must be at least 2."""
+    _check_gene_limit(n)
     if n >= tensor.shape[0]:
         return tensor
-    return ExpressionTensor(
-        tensor.values[:n].copy(),
-        tensor.gene_ids[:n],
-        tensor.condition_ids,
-        tensor.time_labels,
-        tensor.missing_mask[:n].copy(),
+    # Copies, not views, so the full arrays can be freed.
+    return replace(
+        tensor,
+        values=tensor.values[:n].copy(),
+        gene_ids=tensor.gene_ids[:n],
+        missing_mask=tensor.missing_mask[:n].copy(),
     )
 
 
@@ -359,11 +364,7 @@ def normalize_minmax(tensor: ExpressionTensor) -> ExpressionTensor:
     safe_span = np.where(span > 0, span, 1.0)
     scaled = (work - col_min[None, :, :]) / safe_span[None, :, :]
     scaled = np.where(span[None, :, :] > 0, scaled, 0.0)
-    out = np.where(present, scaled, tensor.values)
-    return ExpressionTensor(
-        out, tensor.gene_ids, tensor.condition_ids, tensor.time_labels,
-        tensor.missing_mask.copy(),
-    )
+    return replace(tensor, values=np.where(present, scaled, tensor.values))
 
 
 def impute_missing(tensor: ExpressionTensor, seed: int) -> ExpressionTensor:
@@ -377,10 +378,7 @@ def impute_missing(tensor: ExpressionTensor, seed: int) -> ExpressionTensor:
     rng = np.random.default_rng(seed)
     values = tensor.values.copy()
     values[tensor.missing_mask] = rng.random(tensor.n_missing())
-    return ExpressionTensor(
-        values, tensor.gene_ids, tensor.condition_ids, tensor.time_labels,
-        tensor.missing_mask.copy(),
-    )
+    return replace(tensor, values=values)
 
 
 def _integer(value, name: str) -> int:

@@ -458,9 +458,9 @@ class Inputs:
         return ["run", "--input", csv or self.csv, "--out", out or self.out,
                 "--generations", "2", "--n-triclusters", "1", *extra]
 
-    def evaluate(self, csv=None, coords=None, archive=None):
+    def evaluate(self, csv=None, coords=None, archive=None, extra=()):
         argv = ["evaluate", "--input", csv or self.csv, "--coords", coords or self.coords]
-        return argv + (["--archive", archive] if archive else [])
+        return argv + (["--archive", archive] if archive else []) + [*extra]
 
     def generate(self, spec=None, out=None):
         return ["generate", "--spec", spec or self.spec(), "--out", out or self.out]
@@ -469,8 +469,18 @@ class Inputs:
 UNDECODABLE = b"g\xff,c0,0,0.5"
 LONG_FIELD = b"g" + b"x" * FIELD_LIMIT + b",c0,0,0.5"
 
+# Bad flags: exit 2 before the input CSV is read.
+FLAG_FAILURES = [
+    # One gene cannot hold a tricluster: the flag is at fault, not the input.
+    ("genes-limit-1", 2, lambda f: f.run(extra=["--genes-limit", "1"])),
+    ("run-negative-weight", 2, lambda f: f.run(extra=["--wg", "-1"])),
+    ("evaluate-negative-weight", 2, lambda f: f.evaluate(extra=["--wg", "-1"])),
+    ("evaluate-nan-weight", 2, lambda f: f.evaluate(extra=["--wdt", "nan"])),
+]
+
 # (case, exit code, argv built from an Inputs)
 FAILURES = [
+    *FLAG_FAILURES,
     ("input-directory-run", 3, lambda f: f.run(csv=f.dir)),
     ("input-directory-evaluate", 3, lambda f: f.evaluate(csv=f.dir)),
     ("coords-directory", 2, lambda f: f.evaluate(coords=f.dir)),
@@ -478,8 +488,6 @@ FAILURES = [
     ("spec-directory", 2, lambda f: f.generate(spec=f.dir)),
     ("out-is-a-file-run", 2, lambda f: f.run(out=f.file)),
     ("out-is-a-file-generate", 2, lambda f: f.generate(out=f.file)),
-    # One gene cannot hold a tricluster: the flag is at fault, not the input.
-    ("genes-limit-1", 2, lambda f: f.run(extra=["--genes-limit", "1"])),
     ("undecodable-csv-run", 3, lambda f: f.run(csv=f.csv_with_row(UNDECODABLE))),
     ("undecodable-csv-evaluate", 3,
      lambda f: f.evaluate(csv=f.csv_with_row(UNDECODABLE))),
@@ -509,6 +517,19 @@ class TestFailureClasses:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [pytest.param(a, id=case) for case, _, a in FLAG_FAILURES]
+    )
+    def test_flag_error_stops_before_load(
+        self, dataset_csv, tmp_path, capsys, monkeypatch, argv
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the input was loaded")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        assert main(argv(Inputs(tmp_path, dataset_csv))) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "payload", [[], {"seed": 1}, {"dims": [4, 4, 4], "planted": 5}]
