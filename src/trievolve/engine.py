@@ -10,10 +10,13 @@ coverage steers later runs toward unexplored coordinates through the
 distinction term and the overlap-avoiding initialization.
 
 Each generation after the first takes two steps.  *Breed*: the previous
-generation's best keeps row 0, and tournament selection, crossover, mutation
-and repair write every child into rows 1..P-1.  *Score*: one call scores
-those rows.  One shared seeded generator drives a whole run in a fixed call
-order, so a (tensor, config, seed) triple reproduces archives and traces bit
+generation's best keeps row 0, and one call per operator breeds the block of
+children in rows 1..P-1: tournament selection, crossover, mutation and
+repair each take the whole block.  *Score*: one call scores those rows.  One
+shared seeded generator drives a whole run in a fixed order; per bred
+generation it draws the tournament pairs, the crossover coins and cuts, the
+mutation coins and positions, then the repair draws of each row that needs
+them, so a (tensor, config, seed) triple reproduces archives and traces bit
 for bit.  Scoring consumes no randomness and reads only the finished rows,
 so it may be batched or parallelized as long as results come back in row
 order.
@@ -49,6 +52,15 @@ def _segments(bits: np.ndarray, dims: tuple[int, int, int]):
             f"bit string length {bits.size} != sum of segments {tuple(dims)}"
         )
     return bits[:x], bits[x : x + y], bits[x + y :]
+
+
+def _rows(bits: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """One candidate or a block of them as a 2-D array of rows (a view)."""
+    if bits.shape[-1] != sum(dims):
+        raise ValueError(
+            f"bit string length {bits.shape[-1]} != sum of segments {tuple(dims)}"
+        )
+    return bits.reshape(-1, bits.shape[-1])
 
 
 def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> np.ndarray:
@@ -90,6 +102,11 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "n_triclusters", "seed"):
+            value = getattr(self, name)
+            # numpy would take True as 1 and fail on a float only mid-run.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 1 or self.generations < 1 or self.n_triclusters < 1:
             raise ValueError("population_size, generations, n_triclusters must be >= 1")
         for name in ("p_crossover", "p_mutation"):
@@ -102,8 +119,6 @@ class GAConfig:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.slope_mode not in SLOPE_MODES:
             raise ValueError(f"slope_mode must be one of {SLOPE_MODES}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -206,13 +221,22 @@ def init_population(
     return population
 
 
-def _tournament_index(fitness_values, rng) -> int:
-    # Size-2 tournament: draw two distinct individuals, keep the fitter.
-    i, j = rng.choice(len(fitness_values), size=2, replace=False).tolist()
-    # Lower f wins; ties go to the lower population index.
-    if (fitness_values[i], i) <= (fitness_values[j], j):
-        return i
-    return j
+def _distinct_pairs(n: int, size: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` uniform ordered pairs ``(i, j)`` of distinct indices below n."""
+    i = rng.integers(n, size=size)
+    return i, (i + rng.integers(1, n, size=size)) % n
+
+
+def _tournament(fitness_values, size: int, rng) -> np.ndarray:
+    """Winners of ``size`` size-2 tournaments over the scored individuals.
+
+    Each tournament draws two distinct individuals and keeps the fitter:
+    lower f wins, ties go to the lower population index.
+    """
+    f = np.asarray(fitness_values)
+    i, j = _distinct_pairs(f.size, size, rng)
+    i_wins = (f[i] < f[j]) | ((f[i] == f[j]) & (i < j))
+    return np.where(i_wins, i, j)
 
 
 def crossover(
@@ -220,42 +244,60 @@ def crossover(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-segment single-point tail swap, applied with probability p_c.
 
-    Each of the three segments draws its own crosspoint, so segment
-    boundaries are never crossed.  Offspring are fresh arrays either way and
-    are not repaired here.
+    ``p1`` and ``p2`` are two candidates or two blocks paired row by row.
+    Every pair draws its coin, then every pair draws one cut per segment, so
+    segment boundaries are never crossed.  A cut lies in ``[1, size)`` and
+    swaps the segment's tail from the cut on; a 1-wide segment's cut is 1,
+    past its end, so it never swaps.  Offspring are fresh arrays either way
+    and are not repaired here.
     """
-    o1, o2 = p1.copy(), p2.copy()
-    segment_pairs = zip(_segments(o1, dims), _segments(o2, dims))
-    if rng.random() >= p_c:
-        return o1, o2
-    for a, b in segment_pairs:
-        if a.size == 1:
-            continue
-        cut = int(rng.integers(1, a.size))
-        a[cut:], b[cut:] = b[cut:].copy(), a[cut:].copy()
-    return o1, o2
+    a, b = _rows(p1, dims), _rows(p2, dims)
+    if a.shape != b.shape:
+        raise ValueError(f"parents of shapes {p1.shape} and {p2.shape} do not pair")
+    coins = rng.random(len(a)) < p_c
+    cuts = rng.integers(1, np.maximum(dims, 2), size=(len(a), 3))
+    # Each position's segment and its offset within that segment.
+    segment = np.repeat(np.arange(3), dims)
+    offset = np.arange(a.shape[1]) - np.repeat(np.cumsum(dims) - dims, dims)
+    swap = coins[:, None] & (offset >= cuts[:, segment])
+    o1, o2 = np.where(swap, b, a), np.where(swap, a, b)
+    return o1.reshape(p1.shape), o2.reshape(p1.shape)
 
 
 def mutate(bits: np.ndarray, p_m: float, rng) -> np.ndarray:
-    """With probability p_m flip exactly one uniformly chosen bit."""
+    """With probability p_m flip exactly one uniformly chosen bit per row.
+
+    Every row draws its coin, then every row draws its position.
+    """
     out = bits.copy()
-    if rng.random() < p_m:
-        pos = int(rng.integers(0, out.size))
-        out[pos] = not out[pos]
+    rows = out.reshape(-1, out.shape[-1])
+    flip = np.flatnonzero(rng.random(len(rows)) < p_m)
+    pos = rng.integers(0, rows.shape[1], size=len(rows))[flip]
+    rows[flip, pos] = ~rows[flip, pos]
     return out
 
 
 def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
-    """Flip uniformly chosen unset bits on until every segment has >= 2."""
-    counts = [np.count_nonzero(seg) for seg in _segments(bits, dims)]
-    if min(counts) >= 2:
+    """Flip uniformly chosen unset bits on until every segment has >= 2.
+
+    Takes one candidate or a block.  Only rows with a short segment draw,
+    in row order; when no row needs repair the input itself comes back and
+    nothing is drawn.
+    """
+    rows = _rows(bits, dims)
+    starts = np.cumsum(dims) - dims
+    counts = np.add.reduceat(rows, starts, axis=1, dtype=np.intp)
+    short = np.flatnonzero(counts.min(axis=1) < 2)
+    if not short.size:
         return bits
     out = bits.copy()
-    for seg, count in zip(_segments(out, dims), counts):
-        if count >= 2:
-            continue
-        unset = np.flatnonzero(~seg)
-        seg[rng.choice(unset, size=2 - count, replace=False)] = True
+    out_rows = out.reshape(rows.shape)
+    for r in short.tolist():
+        for seg, count in zip(_segments(out_rows[r], dims), counts[r].tolist()):
+            if count >= 2:
+                continue
+            unset = np.flatnonzero(~seg)
+            seg[rng.choice(unset, size=2 - count, replace=False)] = True
     return out
 
 
@@ -284,10 +326,17 @@ def evolve_one_tricluster(
     The trace holds exactly ``config.generations`` records; record 0 is the
     scored initial population, so a single-generation run performs no
     evolution and returns the initial argmin.  Each later generation breeds,
-    then scores: the previous best keeps row 0 and wins ties there, children
-    fill rows 1..P-1 (a pair's second child is dropped unmutated when one row
-    is left), and one ``_score`` call scores them.  So every generation's
-    best is the best so far and the final one is returned.
+    then scores: the previous best keeps row 0 and wins ties there, and the
+    P - 1 children fill rows 1..P-1.  They are bred as one block, one call
+    per operator, and draw in this order: the ``2 * (P // 2)`` tournaments
+    (every first contestant, then every offset to the second), the
+    crossover of the ``P // 2`` parent pairs (every coin, then every cut),
+    the mutation of the children (every coin, then every position; a pair's
+    second child is dropped unmutated when one row is left), then the repair
+    of each row that needs it, in row order.  A population of one breeds
+    nothing and draws nothing.  One ``_score`` call scores the children.  So
+    every generation's best is the best so far and the final one is
+    returned.
     """
     values = _values(tensor)
     dims = values.shape
@@ -303,24 +352,24 @@ def evolve_one_tricluster(
     records = []
     for gen in range(config.generations):
         if gen:
-            # Breed: rank order, so row 0 holds the elite; tournaments read
-            # the previous rows and scores.
-            children = population[order]
-            for row in range(1, n, 2):
-                i = _tournament_index(f_vals, rng)
-                j = _tournament_index(f_vals, rng)
-                pair = crossover(
-                    population[i], population[j], dims, config.p_crossover, rng
+            # Breed: tournaments read the previous rows and scores.  A
+            # population of one breeds nothing.
+            children = population[:0]
+            if n > 1:
+                parents = population[_tournament(f_vals, n // 2 * 2, rng)]
+                pairs = crossover(
+                    parents[0::2], parents[1::2], dims, config.p_crossover, rng
                 )
-                for r, child in zip(range(row, n), pair):
-                    children[r] = repair(
-                        mutate(child, config.p_mutation, rng), dims, rng
-                    )
-            # Score: the elite keeps its breakdown.
-            population = children
+                # Interleave each pair's two children, then keep n - 1 rows.
+                children = np.stack(pairs, axis=1).reshape(-1, population.shape[1])
+                children = repair(
+                    mutate(children[: n - 1], config.p_mutation, rng), dims, rng
+                )
+            # Score: the elite keeps row 0 and its breakdown.
+            population = np.concatenate([population[order[:1]], children])
             scores = [
                 scores[order[0]],
-                *_score(values, children[1:], config, archive, memo),
+                *_score(values, children, config, archive, memo),
             ]
         f_vals = [s.f for s in scores]
         # Lower f ranks first; ties go to the lower row.

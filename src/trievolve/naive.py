@@ -3,8 +3,9 @@
 Deliberately slow and structurally independent of :mod:`trievolve.quality`:
 every mean is recomputed with explicit Python loops, every regression is fit
 from a materialized point list, and pairwise slope distances come from a
-double loop.  These exist to pin the vectorized implementations down in
-tests; do not use them on large inputs.
+double loop.  Paper-literal slopes run over exact rationals and round once,
+since their formula cancels at large offsets.  These exist to pin the
+vectorized implementations down in tests; do not use them on large inputs.
 
 The CSV reader and writer here go row by row and cell by cell, where the
 chunked, columnar ones in :mod:`trievolve.tensor_io` do not; tests require
@@ -13,6 +14,7 @@ identical tensors, error messages and bytes from both.
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,10 +81,10 @@ def _ols_slope(points) -> float:
     return num / den
 
 
-def _literal_slope(points, axis_positions) -> float:
+def _literal_slope(points, axis_positions):
     # Accumulator formulas evaluated verbatim: the point count and x-sums
     # range over the axis subset only, while sum_xy / sum_y range over the
-    # full point list.
+    # full point list.  Exact when the y values are Fractions.
     n = len(axis_positions)
     sum_x = sum(axis_positions)
     sum_xx = sum(x * x for x in axis_positions)
@@ -135,7 +137,12 @@ def view_slopes_naive(tensor, coords: TriclusterCoords, axis: str, mode: str):
             positions = list(range(coords.n_genes))
         else:
             positions = list(range(coords.n_times))
-        return [_literal_slope(points, positions) for points in point_lists]
+        # n*sum_xy - sum_x*sum_y cancels at large offsets, so the formula
+        # runs over exact rationals of the points and rounds once.
+        return [
+            float(_literal_slope([(x, Fraction(y)) for x, y in points], positions))
+            for points in point_lists
+        ]
     raise ValueError(f"unknown slope mode {mode!r}")
 
 

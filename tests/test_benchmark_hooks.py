@@ -10,7 +10,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from trievolve import cli
+from trievolve import SyntheticSpec, cli, export_csv, generate_synthetic
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -81,3 +81,21 @@ def test_traced_commands_reach_every_patch_point(tmp_path):
             assert tracer.root(cli.main, argv) in (0, 4), name
         missing = {s for s in SPANS[name] if not tracer.calls[s]}
         assert not missing, f"{name} recorded no call of {sorted(missing)}"
+
+
+def test_traced_run_breeds_one_block_per_generation(tmp_path):
+    # Each generation after the first breeds all its children with one call
+    # of each variation operator, so a rows-per-call count can divide by
+    # these call counts.
+    tensor, _ = generate_synthetic(SyntheticSpec(dims=(8, 3, 4), seed=5))
+    csv = tmp_path / "tensor.csv"
+    export_csv(tensor, csv)
+    runs, generations = 3, 4
+    argv = ["run", "--input", str(csv), "--out", str(tmp_path / "run"),
+            "--pop", "5", "--generations", str(generations),
+            "--n-triclusters", str(runs), "--seed", "1"]
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        assert tracer.root(cli.main, argv) in (0, 4)
+    for op in ("engine.crossover", "engine.mutate", "engine.repair"):
+        assert tracer.calls[op] == runs * (generations - 1), op

@@ -23,7 +23,7 @@ from trievolve import (
     run_triea,
 )
 from trievolve import engine
-from trievolve.engine import _segments, _tournament_index
+from trievolve.engine import _distinct_pairs, _segments, _tournament
 from trievolve.quality import SLOPE_MODES
 
 from conftest import make_tensor, random_coords
@@ -137,25 +137,35 @@ class TestInitPopulation:
 class TestTournament:
     def test_lower_f_wins(self):
         class PairRng:
-            def choice(self, n, size, replace):
-                return np.array([0, 1])
+            # First contestants 0 and 1, each offset by one to the other.
+            def integers(self, low, high=None, size=None):
+                return np.array([0, 1]) if high is None else np.array([1, 1])
 
-        assert _tournament_index([5.0, 3.0], PairRng()) == 1
-        assert _tournament_index([2.0, 2.0], PairRng()) == 0  # tie -> lower index
+        assert _tournament([5.0, 3.0], 2, PairRng()).tolist() == [1, 1]
+        # tie -> lower index, whichever contestant was drawn first
+        assert _tournament([2.0, 2.0], 2, PairRng()).tolist() == [0, 0]
 
     def test_selection_frequency_decreases_with_rank(self, rng):
         fs = [1.0, 2.0, 3.0, 4.0]
-        wins = [0, 0, 0, 0]
-        for _ in range(10000):
-            winner = _tournament_index(fs, rng)
-            wins[winner] += 1
+        wins = np.bincount(_tournament(fs, 10000, rng), minlength=4)
         assert wins[0] > wins[1] > wins[2] > wins[3]
 
     def test_selection_pressure(self, rng):
-        fs = list(np.random.default_rng(8).random(10))
-        mean_f = sum(fs) / len(fs)
-        winner_fs = [fs[_tournament_index(fs, rng)] for _ in range(5000)]
-        assert sum(winner_fs) / len(winner_fs) <= mean_f
+        fs = np.random.default_rng(8).random(10)
+        winner_fs = fs[_tournament(fs, 5000, rng)]
+        assert winner_fs.mean() <= fs.mean()
+
+    def test_pairs_distinct_and_uniform(self, rng):
+        n, draws = 5, 100_000
+        i, j = _distinct_pairs(n, draws, rng)
+        assert np.all(i != j)
+        counts = np.bincount(i * n + j, minlength=n * n).reshape(n, n)
+        assert np.all(np.diag(counts) == 0)
+        observed = counts[~np.eye(n, dtype=bool)]
+        expected = draws / (n * (n - 1))
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        # 19 degrees of freedom: P(chi2 > 43.8) = 0.001
+        assert chi2 < 43.8
 
 
 class TestCrossover:
@@ -169,16 +179,15 @@ class TestCrossover:
         assert not np.shares_memory(o1, p1) and not np.shares_memory(o2, p2)
 
     def test_segment_tail_swap(self):
-        # The 1-wide segments draw no cut, so the only draw after the
-        # crossover coin is the gene cut; pinned to 2, it swaps the tails
-        # from gene 2 on.
+        # The gene cut is pinned to 2, so the tails swap from gene 2 on; a
+        # 1-wide segment's cut is 1, past its end, so it swaps nothing.
         class CutRng:
-            def random(self):
-                return 0.0
+            def random(self, size):
+                return np.zeros(size)
 
-            def integers(self, low, high):
-                assert (low, high) == (1, 5)
-                return 2
+            def integers(self, low, high, size):
+                assert (low, high.tolist(), size) == (1, [5, 2, 2], (1, 3))
+                return np.array([[2, 1, 1]])
 
         p1 = bits_from("11100|1|1")
         p2 = bits_from("00011|0|0")
@@ -207,6 +216,57 @@ class TestCrossover:
             o1, o2 = crossover(p1, p2, (2, 1, 3), 1.0, rng)
             assert o1[2] == p1[2]
             assert o2[2] == p2[2]
+        a = rng.random((50, 6)) < 0.5
+        o1, o2 = crossover(a, ~a, (2, 1, 3), 1.0, rng)
+        np.testing.assert_array_equal(o1[:, 2], a[:, 2])
+        np.testing.assert_array_equal(o2[:, 2], ~a[:, 2])
+        assert (o1[:, 3:] != a[:, 3:]).any()  # the wider segments do swap
+
+    def test_block_conserves_each_pair(self, rng):
+        dims = (8, 5, 6)
+        for _ in range(100):
+            a = rng.random((7, 19)) < 0.5
+            b = rng.random((7, 19)) < 0.5
+            o1, o2 = crossover(a, b, dims, 0.5, rng)
+            assert o1.shape == o2.shape == (7, 19)
+            # positional multiset conservation, per pair
+            np.testing.assert_array_equal(
+                np.sort(np.stack([a, b]), axis=0), np.sort(np.stack([o1, o2]), axis=0)
+            )
+
+    def test_block_pairs_cross_as_single_rows(self):
+        # Pair r of a block crosses with coin r and cut row r, exactly as a
+        # single-row call given that coin and those cuts.
+        class FixedRng:
+            def __init__(self, coins, cuts):
+                self.coins, self.cuts = coins, cuts
+
+            def random(self, size):
+                assert size == len(self.coins)
+                return np.array(self.coins)
+
+            def integers(self, low, high, size):
+                assert size == (len(self.cuts), 3)
+                return np.array(self.cuts)
+
+        dims = (5, 2, 3)
+        a, b = bits_from("11100|10|110"), bits_from("00011|01|001")
+        coins, cuts = [0.0, 0.9, 0.2], [[1, 1, 2], [3, 1, 1], [4, 1, 1]]
+        o1, o2 = crossover(
+            np.stack([a] * 3), np.stack([b] * 3), dims, 0.5, FixedRng(coins, cuts)
+        )
+        want = [
+            ("10011|11|111", "01100|00|000"),
+            ("11100|10|110", "00011|01|001"),  # coin 0.9 >= 0.5: copies
+            ("11101|11|101", "00010|00|010"),
+        ]
+        for r, (w1, w2) in enumerate(want):
+            assert o1[r].tolist() == bits_from(w1).tolist()
+            assert o2[r].tolist() == bits_from(w2).tolist()
+            one_pair = FixedRng(coins[r : r + 1], cuts[r : r + 1])
+            r1, r2 = crossover(a, b, dims, 0.5, one_pair)
+            np.testing.assert_array_equal(r1, o1[r])
+            np.testing.assert_array_equal(r2, o2[r])
 
     def test_mismatched_parents_rejected(self, rng):
         p1 = np.ones(6, bool)
@@ -215,6 +275,8 @@ class TestCrossover:
             crossover(p1, p2, (2, 2, 2), 1.0, rng)
         with pytest.raises(ValueError, match="length"):
             crossover(p2, p1, (2, 2, 2), 1.0, rng)
+        with pytest.raises(ValueError, match="pair"):
+            crossover(np.ones((2, 6), bool), np.ones((3, 6), bool), (2, 2, 2), 1.0, rng)
 
 
 class TestMutate:
@@ -235,12 +297,41 @@ class TestMutate:
         flips = sum(1 for _ in range(10000) if (mutate(ch, 0.5, rng) != ch).any())
         assert 4850 <= flips <= 5150
 
+    def test_certain_block_mutation_flips_one_bit_per_row(self, rng):
+        block = rng.random((40, 15)) < 0.5
+        out = mutate(block, 1.0, rng)
+        assert out.shape == block.shape
+        assert (out != block).sum(axis=1).tolist() == [1] * 40
+
 
 class TestRepair:
     def test_valid_untouched(self, rng):
         ch = bits_from("10110|10001|11001")
         out = repair(ch, (5, 5, 5), rng)
         assert out is ch
+
+    def test_valid_block_untouched_without_draws(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"repair drew with rng.{name}")
+
+        block = np.stack([bits_from("10110|10001|11001"), np.ones(15, bool)])
+        assert repair(block, (5, 5, 5), NoDraws()) is block
+
+    def test_block_repairs_short_rows_in_order(self):
+        # Each short row draws as it would alone, in row order; valid rows
+        # draw nothing and come back as they were.
+        dims = (5, 5, 5)
+        block = np.stack([
+            bits_from("00000|11000|11000"),
+            bits_from("10110|10001|11001"),
+            bits_from("11000|10000|00000"),
+        ])
+        got = repair(block, dims, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want = [repair(row, dims, rng) for row in block]
+        np.testing.assert_array_equal(got, np.stack(want))
+        np.testing.assert_array_equal(got[1], block[1])
 
     def test_all_zero_segment_gets_two(self, rng):
         ch = bits_from("00000|11000|11000")
@@ -262,9 +353,12 @@ class TestRepair:
 class TestRngCallOrder:
     """SHA-256 of the bits the variation operators return from fixed seeds.
 
-    The digests were recorded before the population became a bool matrix
-    and pin the generator's call order: an extra, missing or reordered
-    draw changes them.
+    The digests pin the generator's call order: an extra, missing or
+    reordered draw changes them.  The ``init_population`` digest was recorded
+    before the population became a bool matrix; the variation digest when
+    breeding became one call per operator on a block of rows, which draws
+    every crossover coin before any cut and every mutation coin before any
+    position.
     """
 
     def test_init_population_bits(self):
@@ -286,20 +380,24 @@ class TestRngCallOrder:
 
     def test_variation_bits(self):
         # Both certain and impossible crossover and mutation are included,
-        # so skipping a draw at probability 0 or 1 shows too.
+        # so skipping a draw at probability 0 or 1 shows too.  Each step
+        # breeds an odd block, so the unmutated second child is dropped, and
+        # then crosses, mutates and repairs one row alone.
         rng = np.random.default_rng(47)
         dims = (7, 2, 5)
-        pop = [repair(b, dims, rng) for b in rng.random((8, 14)) < 0.3]
+        pop = repair(rng.random((8, 14)) < 0.3, dims, rng)
         h = hashlib.sha256()
         for step in range(300):
-            i, j = (int(k) for k in rng.integers(0, 8, size=2))
             p_c, p_m = (0.0, 0.8, 1.0)[step % 3], (0.0, 0.5, 1.0, 0.5)[step % 4]
-            children = crossover(pop[i], pop[j], dims, p_c, rng)
-            pop[i], pop[j] = (repair(mutate(c, p_m, rng), dims, rng) for c in children)
-            h.update(pop[i].tobytes())
-            h.update(pop[j].tobytes())
+            i, j = rng.integers(0, 8, size=(2, 3))
+            children = np.stack(crossover(pop[i], pop[j], dims, p_c, rng), axis=1)
+            pop[1:6] = repair(mutate(children.reshape(6, 14)[:5], p_m, rng), dims, rng)
+            o1, _ = crossover(pop[1], pop[2], dims, p_c, rng)
+            pop[0] = repair(mutate(o1, p_m, rng), dims, rng)
+            h.update(pop.tobytes())
+            pop = np.roll(pop, 3, axis=0)
         assert h.hexdigest() == (
-            "4c44de678f529d080f04181ccdcf04bcd94be765025896c8739123c3ce71a4a8"
+            "f47a52a5328eefa26cbb204c6bbc516a80279e103a248f0c217c0998f2b59362"
         )
 
 
@@ -383,6 +481,18 @@ class TestEvolve:
         # children.
         p = config.population_size
         assert scored_rows == [p] + [p - 1] * (config.generations - 1)
+
+    def test_population_of_one_breeds_nothing(self, small_tensor):
+        # The lone individual is carried forward; no generation draws.
+        config = GAConfig(population_size=1, generations=6, seed=3)
+        rng = np.random.default_rng(config.seed)
+        (coords, bd), trace = evolve_one_tricluster(small_tensor, config, rng=rng)
+        after_init = np.random.default_rng(config.seed)
+        first = init_population(small_tensor.values.shape, config, None, after_init)
+        assert rng.bit_generator.state == after_init.bit_generator.state
+        assert coords == decode(first[0], small_tensor.values.shape)
+        assert trace.evaluations == 1
+        assert len({r.best for r in trace.records}) == 1
 
     def test_axis_of_one_rejected(self):
         with pytest.raises(ValueError):
@@ -486,9 +596,9 @@ def test_ga_digest_over_random_configs():
     # Pins the GA's results across refactors of the generation loop: 48
     # configs with populations 1-8, p_c and p_m in {0, 0.5, 1}, both slope
     # modes and thresholds that accept and reject.  Recorded with numpy 2.4
-    # on x86-64 from the loop that scored each child as it was bred.
+    # on x86-64 from the loop that breeds each generation as one block.
     assert _ga_digest(48) == (
-        "870145c0cfc30ed5f967b7907063b5547d3719e14cac7bb964266a88eb17918f"
+        "0f22be0e71b42aa10a6319d6dd95c3314185b4b8490e3c66b2b5f16078d52356"
     )
 
 
@@ -547,6 +657,16 @@ class TestConfigValidation:
             GAConfig(population_size=0)
         with pytest.raises(ValueError):
             GAConfig(generations=0)
+
+    @pytest.mark.parametrize(
+        "name", ["population_size", "generations", "n_triclusters"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        # numpy would reject a float only once the run starts, and would
+        # take True as 1.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GAConfig(**{name: value})
 
     def test_slope_mode(self):
         with pytest.raises(ValueError):
