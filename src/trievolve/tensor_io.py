@@ -11,6 +11,7 @@ immutable after construction, so they are safe to share across threads.
 """
 
 import csv
+import io
 import math
 import numbers
 import operator
@@ -307,23 +308,46 @@ def _line_of_row(path, row: int) -> int:
 def export_csv(tensor: ExpressionTensor, path) -> None:
     """Write every cell in long format; missing cells get an empty value.
 
-    Cells are written in row-major order, a block of whole genes at a time
-    (one chunk's worth of rows), so memory is bounded by one block's fields
-    plus the tensor.
+    Each label is quoted once, as ``csv.writer`` quotes it, and every
+    ``condition,time`` pair is joined once into the tail of its lines.
+    Cells are then written in row-major order, a block of whole genes at a
+    time (one chunk's worth of rows): each line is its gene's field, its
+    tail and the value's ``repr``, and the block goes out as one string, so
+    memory is bounded by one block's lines plus the tensor.
     """
     n_g, n_c, n_t = tensor.shape
     block = max(1, _CHUNK_ROWS // (n_c * n_t))
+    genes = _csv_fields(tensor.gene_ids)
+    tails = [
+        f",{c},{t},"
+        for c, t in product(_csv_fields(tensor.condition_ids), _csv_fields(tensor.time_labels))
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
         for g0 in range(0, n_g, block):
             fields = list(map(repr, tensor.values[g0:g0 + block].ravel().tolist()))
             for i in np.flatnonzero(tensor.missing_mask[g0:g0 + block]).tolist():
                 fields[i] = ""
-            cells = product(
-                tensor.gene_ids[g0:g0 + block], tensor.condition_ids, tensor.time_labels
-            )
-            writer.writerows(map(tuple.__add__, cells, zip(fields)))
+            heads = [gene + tail for gene in genes[g0:g0 + block] for tail in tails]
+            fh.write("\r\n".join(map(str.__add__, heads, fields)) + "\r\n")
+
+
+def _csv_fields(labels) -> list[str]:
+    """Each label as a default ``csv.writer`` writes it inside a row.
+
+    A label goes out with an empty field after it, and the ``,\\r\\n`` is
+    cut off: ``csv`` writes a lone empty field as ``""``, and it quotes a
+    field holding CR or LF because the default line terminator holds them.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((label, ""))
+        fields.append(buf.getvalue()[:-3])
+    return fields
 
 
 def _check_gene_limit(n: int) -> None:

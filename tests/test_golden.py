@@ -36,6 +36,11 @@ GOLDEN_COORDS = {
     "paper-literal": [[_NO_GENE_26, _CONDS, _TIMES], [_GENES, _CONDS, _TIMES[:7]]],
 }
 
+# SHA-256 of the golden tensor.csv that ``export_csv`` writes.  The run
+# digests cannot see a change to the CSV bytes that loads to the same floats
+# (quoting, line endings, another float spelling); this can.
+GOLDEN_CSV = "5d0abb2db056bb87aeaa24d40c33c52837ef74111a590d426a2083ea3e7ca2e8"
+
 
 @pytest.fixture(scope="module")
 def golden_csv(tmp_path_factory):
@@ -59,6 +64,10 @@ def golden_run(request, golden_csv, tmp_path_factory):
     ])
     assert code == 0
     return request.param, out
+
+
+def test_exported_csv_matches_golden_digest(golden_csv):
+    assert hashlib.sha256(golden_csv.read_bytes()).hexdigest() == GOLDEN_CSV
 
 
 def test_run_outputs_match_golden_digest(golden_run):

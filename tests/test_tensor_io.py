@@ -306,6 +306,49 @@ class TestCsvOracle:
             naive.export_csv_naive(tensor, want)
             assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, tensor_io._CHUNK_ROWS])
+    @pytest.mark.parametrize("conds, times", [
+        (("c,1",), (" t\r",)),  # one line per gene: blocks of 1, 2, 3 and all genes
+        (("x", 'y"'), ("1", "a\nb")),
+    ])
+    def test_export_quotes_named_labels(self, tmp_path, chunk_rows, conds, times):
+        genes = ("plain", "com,ma", 'q"uote', "l\nf", "cr\r\nlf", "lone\rcr", " pad ", "")
+        shape = (len(genes), len(conds), len(times))
+        spellings = [0.1, -0.0, 1e-05, 1e16, 123.456, -7.0, 2.5e-300, 1 / 3]
+        values = np.resize(spellings, shape)
+        mask = np.zeros(shape, dtype=bool)
+        lines = mask.reshape(-1)
+        per_gene = len(conds) * len(times)
+        for g in (0, 2, 5, 7):  # first lines of blocks, and of the file
+            lines[g * per_gene] = True
+        for g in (2, 5, 7):  # last lines of blocks, and of the file
+            lines[(g + 1) * per_gene - 1] = True
+
+        def export(n_genes):
+            tensor = ExpressionTensor(
+                values[:n_genes], genes[:n_genes], conds, times, mask[:n_genes]
+            )
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
+                export_csv(tensor, got)
+            naive.export_csv_naive(tensor, want)
+            assert got.read_bytes() == want.read_bytes()
+            return tensor, got
+
+        _, path = export(len(genes))
+        with pytest.raises(DatasetFormatError, match="empty gene/condition/time label"):
+            load_dataset(path)
+        # The loader rejects an empty label, so read back the file without it.
+        tensor, path = export(len(genes) - 1)
+        back = load_dataset(path)
+        assert (back.gene_ids, back.condition_ids, back.time_labels) == (
+            tensor.gene_ids, tensor.condition_ids, tensor.time_labels
+        )
+        assert np.array_equal(back.missing_mask, tensor.missing_mask)
+        assert back.values[~back.missing_mask].tobytes() == (
+            tensor.values[~tensor.missing_mask].tobytes()
+        )
+
     def test_cell_index_cannot_wrap(self):
         # Row 1's plain row-major number, 2**21 * 2**21 * 2**22 + 5, is
         # 2**64 + 5: in int64 it would wrap onto row 0's, 5.
