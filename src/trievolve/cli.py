@@ -107,15 +107,18 @@ def _seed(args) -> int:
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, help_text in (
-        ("--wg", "size weight per selected gene"),
-        ("--wc", "size weight per selected condition"),
-        ("--wt", "size weight per selected time point"),
-        ("--wdg", "distinction weight for genes"),
-        ("--wdc", "distinction weight for conditions"),
-        ("--wdt", "distinction weight for time points"),
+    standard = QualityWeights()
+    for flag, name, help_text in (
+        ("--wg", "w_g", "size weight per selected gene"),
+        ("--wc", "w_c", "size weight per selected condition"),
+        ("--wt", "w_t", "size weight per selected time point"),
+        ("--wdg", "wd_g", "distinction weight for genes"),
+        ("--wdc", "wd_c", "distinction weight for conditions"),
+        ("--wdt", "wd_t", "distinction weight for time points"),
     ):
-        parser.add_argument(flag, type=float, default=0.1, help=help_text)
+        parser.add_argument(
+            flag, type=float, default=getattr(standard, name), help=help_text
+        )
 
 
 def _weights_from_args(args) -> QualityWeights:
@@ -135,22 +138,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mine triclusters from 3D gene expression data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    standard = GAConfig()
 
     run = sub.add_parser("run", help="full mining run on a long-format CSV")
     run.add_argument("--input", required=True, help="long-format CSV dataset")
     run.add_argument("--out", default="triea_out", help="output directory")
     run.add_argument("--seed", type=int, default=None,
                      help=f"run seed (default: ${SEED_ENV_VAR} or 0)")
-    run.add_argument("--pop", type=int, default=20, help="population size")
-    run.add_argument("--generations", type=int, default=100)
-    run.add_argument("--pc", type=float, default=0.95, help="crossover probability")
-    run.add_argument("--pm", type=float, default=0.50, help="mutation probability")
+    run.add_argument("--pop", type=int, default=standard.population_size,
+                     help="population size")
+    run.add_argument("--generations", type=int, default=standard.generations)
+    run.add_argument("--pc", type=float, default=standard.p_crossover,
+                     help="crossover probability")
+    run.add_argument("--pm", type=float, default=standard.p_mutation,
+                     help="mutation probability")
     _add_weight_flags(run)
-    run.add_argument("--delta", type=float, default=1050.0,
+    run.add_argument("--delta", type=float, default=standard.delta,
                      help="LSL acceptance threshold")
-    run.add_argument("--n-triclusters", type=int, default=20,
+    run.add_argument("--n-triclusters", type=int, default=standard.n_triclusters,
                      help="number of sequential-covering runs")
-    run.add_argument("--slope-mode", choices=SLOPE_MODES, default="ols")
+    run.add_argument("--slope-mode", choices=SLOPE_MODES, default=standard.slope_mode)
     run.add_argument("--genes-limit", type=int, default=None,
                      help="keep only the first N genes in file order")
     run.add_argument("--no-normalize", action="store_true",
@@ -166,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON file with genes/conditions/times index lists")
     ev.add_argument("--archive", default=None,
                     help="triclusters.json from an earlier run, for distinction")
-    ev.add_argument("--slope-mode", choices=SLOPE_MODES, default="ols")
+    ev.add_argument("--slope-mode", choices=SLOPE_MODES, default=standard.slope_mode)
     ev.add_argument("--seed", type=int, default=None,
                     help="imputation seed when the dataset has missing cells")
     ev.add_argument("--normalize", action="store_true",

@@ -45,22 +45,14 @@ from .quality import (
 
 
 def _segments(bits: np.ndarray, dims: tuple[int, int, int]):
-    """The gene, condition and time views of one candidate's bits."""
+    """The gene, condition and time views of one candidate's bits, or of each
+    row of a block: slices of the last axis."""
     x, y, z = dims
-    if bits.shape != (x + y + z,):
-        raise ValueError(
-            f"bit string length {bits.size} != sum of segments {tuple(dims)}"
-        )
-    return bits[:x], bits[x : x + y], bits[x + y :]
-
-
-def _rows(bits: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """One candidate or a block of them as a 2-D array of rows (a view)."""
-    if bits.shape[-1] != sum(dims):
+    if bits.shape[-1] != x + y + z:
         raise ValueError(
             f"bit string length {bits.shape[-1]} != sum of segments {tuple(dims)}"
         )
-    return bits.reshape(-1, bits.shape[-1])
+    return bits[..., :x], bits[..., x : x + y], bits[..., x + y :]
 
 
 def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> np.ndarray:
@@ -251,17 +243,18 @@ def crossover(
     past its end, so it never swaps.  Offspring are fresh arrays either way
     and are not repaired here.
     """
-    a, b = _rows(p1, dims), _rows(p2, dims)
-    if a.shape != b.shape:
+    o1, o2 = p1.copy(), p2.copy()
+    # The copies are contiguous, so their 2-D reshapes are views.
+    segs1, segs2 = (_segments(o.reshape(-1, o.shape[-1]), dims) for o in (o1, o2))
+    if o1.shape != o2.shape:
         raise ValueError(f"parents of shapes {p1.shape} and {p2.shape} do not pair")
-    coins = rng.random(len(a)) < p_c
-    cuts = rng.integers(1, np.maximum(dims, 2), size=(len(a), 3))
-    # Each position's segment and its offset within that segment.
-    segment = np.repeat(np.arange(3), dims)
-    offset = np.arange(a.shape[1]) - np.repeat(np.cumsum(dims) - dims, dims)
-    swap = coins[:, None] & (offset >= cuts[:, segment])
-    o1, o2 = np.where(swap, b, a), np.where(swap, a, b)
-    return o1.reshape(p1.shape), o2.reshape(p1.shape)
+    coins = rng.random(len(segs1[0])) < p_c
+    cuts = rng.integers(1, np.maximum(dims, 2), size=(len(segs1[0]), 3))
+    for s1, s2, cut in zip(segs1, segs2, cuts.T):
+        d = (s1 ^ s2) & coins[:, None] & (np.arange(s1.shape[1]) >= cut[:, None])
+        s1 ^= d
+        s2 ^= d
+    return o1, o2
 
 
 def mutate(bits: np.ndarray, p_m: float, rng) -> np.ndarray:
@@ -284,9 +277,10 @@ def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
     in row order; when no row needs repair the input itself comes back and
     nothing is drawn.
     """
-    rows = _rows(bits, dims)
-    starts = np.cumsum(dims) - dims
-    counts = np.add.reduceat(rows, starts, axis=1, dtype=np.intp)
+    rows = bits.reshape(-1, bits.shape[-1])
+    counts = np.stack(
+        [np.count_nonzero(seg, axis=1) for seg in _segments(rows, dims)], axis=1
+    )
     short = np.flatnonzero(counts.min(axis=1) < 2)
     if not short.size:
         return bits

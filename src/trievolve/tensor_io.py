@@ -126,14 +126,14 @@ def load_dataset(path) -> ExpressionTensor:
 
     Rows are read by ``csv.reader`` in chunks of a fixed number of rows, each
     turned into numpy columns before the next is read, so memory is bounded
-    by one chunk plus the columns and the tensor; reading stops at the first
-    chunk that holds an error.
+    by one chunk plus the columns and the tensor.  Reading stops at the first
+    faulty row, and the columns stop before it, so a duplicate among them
+    lies earlier in the file than that row; a read failure lies after both.
     """
     # Label -> axis index in order of first appearance, one dict per axis.
     axes: tuple[dict[str, int], dict[str, int], dict[str, int]] = ({}, {}, {})
     parts = []
-    errors: list[tuple[int, int, str]] = []
-    failure = None
+    fault = failure = None
     n_rows = 0
 
     with open(path, newline="", encoding="utf-8") as fh:
@@ -159,11 +159,10 @@ def load_dataset(path) -> ExpressionTensor:
                 )))
             except (csv.Error, ValueError, OSError) as exc:  # decoding included
                 failure = exc
-            columns, chunk_errors = _parse_chunk(flat, n_rows, axes)
+            columns, fault = _parse_chunk(flat, n_rows, axes)
             parts.append(columns)
-            errors += chunk_errors
             n_rows += len(columns[0])
-            if errors or failure is not None or len(columns[0]) < _CHUNK_ROWS:
+            if fault or failure is not None or len(columns[0]) < _CHUNK_ROWS:
                 break
 
     gi, ci, ti, present, present_values = (np.concatenate(c) for c in zip(*parts))
@@ -177,13 +176,13 @@ def load_dataset(path) -> ExpressionTensor:
     cells = _cell_index(gi, ci, ti, shape)
     dup = _first_repeat(cells)
     if dup is not None:
-        errors.append((
-            dup, 3,
+        fault = (
+            dup,
             f"duplicate entry for gene={genes[gi[dup]]!r} "
             f"condition={conditions[ci[dup]]!r} time={times[ti[dup]]!r}",
-        ))
-    if errors:
-        row, _, detail = min(errors)
+        )
+    if fault:
+        row, detail = fault
         raise DatasetFormatError(f"{path}: line {_line_of_row(path, row)}: {detail}")
     if failure is not None:
         raise failure
@@ -211,69 +210,65 @@ def load_dataset(path) -> ExpressionTensor:
 
 def _parse_chunk(flat, offset, axes):
     """Columns ``(gene, condition, first-seen time, present, value)`` of a
-    chunk of data rows, and its row faults as ``(row, rank, detail)``.
+    chunk's rows before its first faulty row, and that row's fault as
+    ``(row, detail)``, or None.
 
     ``flat`` holds each row's fields followed by the row's number in the
     chunk (an int); ``offset`` is the index of the chunk's first row; ``axes``
-    get the chunk's new labels.  A row with the wrong field count ends the
-    chunk.
+    get the chunk's new labels.  A clean chunk is parsed in one pass; a
+    faulty one is parsed again up to its first faulty row.
     """
-    errors = []
     n = flat[-1] + 1 if flat else 0
     # Every row has 4 fields exactly when the numbers sit at every 5th place.
-    if len(flat) != 5 * n or flat[4::5] != list(range(n)):
-        lengths = _row_lengths(flat)
-        n = next(i for i, got in enumerate(lengths) if got != 4)
-        errors.append((offset + n, 0, f"expected 4 fields, got {lengths[n]}"))
-        del flat[5 * n:]
-    labels = (flat[0::5], flat[1::5], flat[2::5])
-    raws = flat[3::5]
-
-    indices = []
-    for column, pos in zip(labels, axes):
-        for label in dict.fromkeys(column):
-            pos.setdefault(label, len(pos))
-        indices.append(np.fromiter(map(pos.__getitem__, column), np.intp, n))
-    if any("" in pos for pos in axes):
-        empty = min(column.index("") for column in labels if "" in column)
-        errors.append((offset + empty, 1, "empty gene/condition/time label"))
-
-    present = np.fromiter(map(bool, raws), bool, n)
-    try:
-        values = np.fromiter(
-            map(float, filter(None, raws)), np.float64, n - raws.count("")
-        )
-        clean = bool(np.isfinite(values).all())
-    except ValueError:
+    if len(flat) == 5 * n and flat[4::5] == list(range(n)):
+        labels = (flat[0::5], flat[1::5], flat[2::5])
+        raws = flat[3::5]
+        indices = []
+        for column, pos in zip(labels, axes):
+            for label in dict.fromkeys(column):
+                pos.setdefault(label, len(pos))
+            indices.append(np.fromiter(map(pos.__getitem__, column), np.intp, n))
+        # A faulty chunk's first pass leaves its labels, "" too, in axes, so
+        # the rows before its faulty row test their own columns.
         clean = False
-    if not clean:
-        values = np.empty(0)
-        bad = _first_bad_value(raws)
-        errors.append((offset + bad, 2, f"bad value {raws[bad]!r}"))
-    return (*indices, present, values), errors
-
-
-def _row_lengths(flat) -> list[int]:
-    """Field count of each row of a flat list of fields and row numbers."""
-    lengths, start = [], 0
-    for i, field in enumerate(flat):
-        if type(field) is int:
-            lengths.append(i - start)
-            start = i + 1
-    return lengths
-
-
-def _first_bad_value(raws) -> int:
-    """Index of the first field that is not empty and not a finite float."""
-    for i, raw in enumerate(raws):
-        if raw:
+        if not any("" in pos and "" in column for column, pos in zip(labels, axes)):
             try:
-                value = float(raw)
+                values = np.fromiter(
+                    map(float, filter(None, raws)), np.float64, n - raws.count("")
+                )
+                clean = bool(np.isfinite(values).all())
             except ValueError:
-                return i
-            if not math.isfinite(value):
-                return i
-    raise AssertionError("no bad value in the fields")
+                pass
+        if clean:
+            return (*indices, np.fromiter(map(bool, raws), bool, n), values), None
+    row, start, detail = _first_row_fault(flat)
+    columns, _ = _parse_chunk(flat[:start], offset, axes)
+    return columns, (offset + row, detail)
+
+
+def _first_row_fault(flat) -> tuple[int, int, str]:
+    """``(row, start, detail)`` of the first faulty row in a flat list of
+    fields and row numbers: the row's number, the index of its first field
+    and its fault.  A row is checked for its field count, then for an empty
+    label, then for a value that is not empty and not a finite float.
+    """
+    start = 0
+    for row in range(flat[-1] + 1):
+        end = flat.index(row, start)  # fields are str, so only a number matches
+        fields = flat[start:end]
+        if len(fields) != 4:
+            return row, start, f"expected 4 fields, got {len(fields)}"
+        if not all(fields[:3]):
+            return row, start, "empty gene/condition/time label"
+        raw = fields[3]
+        try:
+            finite = not raw or math.isfinite(float(raw))
+        except ValueError:
+            finite = False
+        if not finite:
+            return row, start, f"bad value {raw!r}"
+        start = end + 1
+    raise AssertionError("no faulty row in the chunk")
 
 
 def _cell_index(gi, ci, ti, shape) -> np.ndarray:
@@ -380,14 +375,13 @@ def normalize_minmax(tensor: ExpressionTensor) -> ExpressionTensor:
     """
     present = ~tensor.missing_mask
     work = np.where(present, tensor.values, np.nan)
-    counts = present.sum(axis=0)  # (C, T)
-    with np.errstate(all="ignore"):
-        col_min = np.where(counts > 0, np.nanmin(work, axis=0), 0.0)
-        col_max = np.where(counts > 0, np.nanmax(work, axis=0), 0.0)
+    # nanmin and nanmax without their All-NaN warning: an all-missing
+    # column gets a nan span, which fails the span test as a 0 span does.
+    col_min = np.fmin.reduce(work, axis=0)  # (C, T)
+    col_max = np.fmax.reduce(work, axis=0)
     span = col_max - col_min
     safe_span = np.where(span > 0, span, 1.0)
-    scaled = (work - col_min[None, :, :]) / safe_span[None, :, :]
-    scaled = np.where(span[None, :, :] > 0, scaled, 0.0)
+    scaled = np.where(span > 0, (work - col_min) / safe_span, 0.0)
     return replace(tensor, values=np.where(present, scaled, tensor.values))
 
 

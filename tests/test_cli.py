@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trievolve import (
+    GAConfig,
     QualityWeights,
     SyntheticSpec,
     TriclusterCoords,
@@ -766,3 +767,26 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_defaults_are_the_standard_setting(self):
+        parser = cli.build_parser()
+        run = parser.parse_args(["run", "--input", "d.csv"])
+        standard = GAConfig()
+        flags = {
+            "pop": "population_size", "generations": "generations",
+            "pc": "p_crossover", "pm": "p_mutation", "delta": "delta",
+            "n_triclusters": "n_triclusters", "slope_mode": "slope_mode",
+        }
+        assert {f: getattr(run, f) for f in flags} == {
+            f: getattr(standard, name) for f, name in flags.items()
+        }
+        ev = parser.parse_args(["evaluate", "--input", "d.csv", "--coords", "c.json"])
+        assert ev.slope_mode == standard.slope_mode
+        weights = {
+            "wg": "w_g", "wc": "w_c", "wt": "w_t",
+            "wdg": "wd_g", "wdc": "wd_c", "wdt": "wd_t",
+        }
+        for args in (run, ev):
+            assert {f: getattr(args, f) for f in weights} == {
+                f: getattr(QualityWeights(), name) for f, name in weights.items()
+            }

@@ -257,6 +257,12 @@ class TestCsvOracle:
         (["a,x,1,0.5", "a,x,2,0.6", "a,x,1,0.7,9", "a,x,1,0.8"], "line 4: expected 4"),
         (["a,x,1,0.5", "a,x,2,0.6", ",x,1,nan", "a,x,3,0.1"], "line 4: empty"),
         (["a,x,1,0.5", "a,x,2,0.6", "a,x,1,nan", "a,x,3,0.1"], "line 4: bad value"),
+        # an empty label in the second chunk, after a clean first chunk
+        (["a,x,1,0.5", "a,x,2,0.6", ",x,1,0.7"], "line 4: empty"),
+        # a duplicate in the rows before a bad value
+        (["a,x,1,0.5", "a,x,1,0.6", "a,x,2,abc"], "line 3: duplicate"),
+        # a duplicate in the rows before a short row
+        (["a,x,1,0.5", "a,x,2,0.6", "a,x,1,0.7", "a,x"], "line 4: duplicate"),
     ])
     def test_first_fault_in_file_order_across_chunks(self, tmp_path, chunk_rows, rows, want):
         path = write_csv(tmp_path / "d.csv", rows)
@@ -422,6 +428,15 @@ class TestNormalize:
         # 100.0 is missing: excluded from the column max, value preserved
         assert out.values[:, 0, 0].tolist() == [0.0, 1.0, 100.0]
         assert out.missing_mask.tolist() == mask.tolist()
+
+    def test_all_missing_column_left_as_is_without_warnings(self):
+        # Warnings are errors in this suite, so a numpy All-NaN warning fails.
+        values = np.array([[[1.0, np.nan]], [[3.0, np.nan]]])
+        mask = np.array([[[False, True]], [[False, True]]])
+        t = ExpressionTensor(values, ("a", "b"), ("x",), ("1", "2"), mask)
+        out = normalize_minmax(t)
+        assert out.values[:, 0, 0].tolist() == [0.0, 1.0]
+        assert np.isnan(out.values[:, 0, 1]).all()
 
     def test_idempotent_on_normalized_data(self, rng):
         t = normalize_minmax(make_tensor(rng.random((8, 3, 3))))
