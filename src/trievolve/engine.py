@@ -328,9 +328,9 @@ def evolve_one_tricluster(
     the mutation of the children (every coin, then every position; a pair's
     second child is dropped unmutated when one row is left), then the repair
     of each row that needs it, in row order.  A population of one breeds
-    nothing and draws nothing.  One ``_score`` call scores the children.  So
-    every generation's best is the best so far and the final one is
-    returned.
+    empty blocks, which draw nothing.  One ``_score`` call scores the
+    children.  So every generation's best is the best so far and the final
+    one is returned.
     """
     values = _values(tensor)
     dims = values.shape
@@ -347,32 +347,26 @@ def evolve_one_tricluster(
     for gen in range(config.generations):
         if gen:
             # Breed: tournaments read the previous rows and scores.  A
-            # population of one breeds nothing.
-            children = population[:0]
-            if n > 1:
-                parents = population[_tournament(f_vals, n // 2 * 2, rng)]
-                pairs = crossover(
-                    parents[0::2], parents[1::2], dims, config.p_crossover, rng
-                )
-                # Interleave each pair's two children, then keep n - 1 rows.
-                children = np.stack(pairs, axis=1).reshape(-1, population.shape[1])
-                children = repair(
-                    mutate(children[: n - 1], config.p_mutation, rng), dims, rng
-                )
+            # population of one gets empty blocks, which draw nothing.
+            parents = population[_tournament(f_vals, n // 2 * 2, rng)]
+            pairs = crossover(
+                parents[0::2], parents[1::2], dims, config.p_crossover, rng
+            )
+            # Interleave each pair's two children, then keep n - 1 rows.
+            children = np.stack(pairs, axis=1).reshape(-1, population.shape[1])
+            children = mutate(children[: n - 1], config.p_mutation, rng)
+            children = repair(children, dims, rng)
             # Score: the elite keeps row 0 and its breakdown.
-            population = np.concatenate([population[order[:1]], children])
-            scores = [
-                scores[order[0]],
-                *_score(values, children, config, archive, memo),
-            ]
+            population = np.concatenate([population[best : best + 1], children])
+            scores = [scores[best], *_score(values, children, config, archive, memo)]
         f_vals = [s.f for s in scores]
-        # Lower f ranks first; ties go to the lower row.
-        order = sorted(range(n), key=lambda i: (f_vals[i], i))
-        records.append(GenerationRecord(fmean(f_vals), scores[order[0]]))
+        # Lower f wins; min keeps the first of equal keys, the lower row.
+        best = min(range(n), key=f_vals.__getitem__)
+        records.append(GenerationRecord(fmean(f_vals), scores[best]))
     # Every generation after the first looks up its n - 1 children.
     memo_hits = n + (config.generations - 1) * (n - 1) - len(memo)
     trace = GenerationTrace(tuple(records), len(memo), memo_hits)
-    return (decode(population[order[0]], dims), scores[order[0]]), trace
+    return (decode(population[best], dims), scores[best]), trace
 
 
 def run_triea(tensor, config: GAConfig, trace_sink=None) -> Archive:

@@ -126,9 +126,10 @@ def load_dataset(path) -> ExpressionTensor:
 
     Rows are read by ``csv.reader`` in chunks of a fixed number of rows, each
     turned into numpy columns before the next is read, so memory is bounded
-    by one chunk plus the columns and the tensor.  Reading stops at the first
-    faulty row, and the columns stop before it, so a duplicate among them
-    lies earlier in the file than that row; a read failure lies after both.
+    by one chunk plus the columns and the tensor, for a rejected ragged file
+    too.  Reading stops at the first faulty row, and the columns stop before
+    it, so a duplicate among them lies earlier in the file than that row; a
+    read failure lies after both.
     """
     # Label -> axis index in order of first appearance, one dict per axis.
     axes: tuple[dict[str, int], dict[str, int], dict[str, int]] = ({}, {}, {})
@@ -173,7 +174,7 @@ def load_dataset(path) -> ExpressionTensor:
     ti = rank[ti]
     shape = (len(genes), len(conditions), len(times))
 
-    cells = _cell_index(gi, ci, ti, shape)
+    cells, pairs = _cell_index(gi, ci, ti, shape[2])
     dup = _first_repeat(cells)
     if dup is not None:
         fault = (
@@ -189,12 +190,13 @@ def load_dataset(path) -> ExpressionTensor:
     if not n_rows:
         raise DatasetFormatError(f"{path}: no data rows")
 
-    grid = np.zeros(shape[1:], dtype=bool)
-    grid[ci, ti] = True
-    full = grid.all(axis=1)
-    if not full.all():
-        c = int(np.argmin(full))
-        gaps = [times[t] for t in np.flatnonzero(~grid[c])]
+    n_c, n_t = shape[1:]
+    if len(pairs) < n_c * n_t:
+        # The first condition with fewer pairs than time points has a gap.
+        pair_conditions = pairs // n_t
+        c = int(np.argmax(np.bincount(pair_conditions) < n_t))
+        have = pairs[pair_conditions == c] % n_t
+        gaps = [times[t] for t in np.setdiff1d(np.arange(n_t), have)]
         raise DatasetFormatError(
             f"{path}: ragged time grid: condition {conditions[c]!r} has no rows "
             f"for time point(s) {', '.join(repr(t) for t in gaps)}"
@@ -271,18 +273,17 @@ def _first_row_fault(flat) -> tuple[int, int, str]:
     raise AssertionError("no faulty row in the chunk")
 
 
-def _cell_index(gi, ci, ti, shape) -> np.ndarray:
-    """Row-major cell number of each row; equal rows get equal numbers.
+def _cell_index(gi, ci, ti, n_t) -> tuple[np.ndarray, np.ndarray]:
+    """Cell number of each row, and the sorted distinct (condition, time)
+    pair numbers ``ci * n_t + ti``; equal rows get equal cell numbers.
 
-    When the shape has more cells than an int64 can count (only a ragged
-    file of millions of rows can declare that many), the (condition, time)
-    pairs are renumbered densely first so the numbers cannot wrap.
+    A row's cell number is ``gi * n_pairs + k``, where ``k`` ranks its pair
+    among the distinct ones: on a full grid that is the row-major number, and
+    on any file it stays below the square of the row count, so it cannot wrap.
     """
-    n_g, n_c, n_t = shape
-    if n_g * n_c * n_t <= np.iinfo(np.int64).max:
-        return (gi * n_c + ci) * n_t + ti
-    pairs = np.unique(ci * n_t + ti, return_inverse=True)[1].reshape(-1)
-    return gi * (int(pairs.max()) + 1) + pairs
+    keys = ci * n_t + ti
+    pairs = np.unique(keys)
+    return gi * len(pairs) + np.searchsorted(pairs, keys), pairs
 
 
 def _first_repeat(keys) -> int | None:
@@ -374,7 +375,8 @@ def normalize_minmax(tensor: ExpressionTensor) -> ExpressionTensor:
     columns are common in real exports.
     """
     present = ~tensor.missing_mask
-    work = np.where(present, tensor.values, np.nan)
+    # Halved, so that a range past the float maximum does not overflow.
+    work = np.where(present, tensor.values, np.nan) / 2
     # nanmin and nanmax without their All-NaN warning: an all-missing
     # column gets a nan span, which fails the span test as a 0 span does.
     col_min = np.fmin.reduce(work, axis=0)  # (C, T)

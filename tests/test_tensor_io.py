@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -127,6 +128,32 @@ class TestLoadDataset:
         rows = ["a,x,1,0.1", "a,x,2,0.2", "a,y,1,0.3"]
         with pytest.raises(DatasetFormatError, match="'y'.*'2'"):
             load_dataset(write_csv(tmp_path / "d.csv", rows))
+
+    def test_duplicate_reported_before_ragged_grid(self, tmp_path):
+        # Condition y has no row for time 2, and line 5 repeats line 4.
+        rows = ["a,x,1,0.1", "a,x,2,0.2", "a,y,1,0.3", "a,y,1,0.4"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        want = "line 5: duplicate entry for gene='a' condition='y' time='1'"
+        for load in (load_dataset, naive.load_dataset_naive):
+            with pytest.raises(DatasetFormatError, match=want):
+                load(path)
+
+    def test_ragged_rejection_memory_follows_rows(self, tmp_path):
+        # Every row has its own condition and time: 20k rows span a 20k x 20k
+        # (condition, time) grid, 400 MB as bools.
+        rows = [f"a,c{i},{i},0.5" for i in range(20_000)]
+        path = write_csv(tmp_path / "d.csv", rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        with pytest.raises(DatasetFormatError) as want:
+            naive.load_dataset_naive(path)
+        assert str(got.value) == str(want.value)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -361,7 +388,7 @@ class TestCsvOracle:
         gi = np.array([0, 2**21, 0])
         ci = np.array([0, 0, 0])
         ti = np.array([5, 5, 5])
-        cells = tensor_io._cell_index(gi, ci, ti, (2**22, 2**21, 2**22))
+        cells, _ = tensor_io._cell_index(gi, ci, ti, 2**22)
         assert cells[0] == cells[2] != cells[1]
 
 
@@ -400,9 +427,11 @@ class TestTensorInvariants:
 
 class TestNormalize:
     def test_endpoints_and_midpoint(self):
-        t = make_tensor(np.array([2.0, 6.0, 10.0]).reshape(3, 1, 1))
-        out = normalize_minmax(t)
-        assert out.values[:, 0, 0].tolist() == [0.0, 0.5, 1.0]
+        # The second column's range is past the float maximum.
+        for column in ([2.0, 6.0, 10.0], [-1e308, 0.0, 1e308]):
+            t = make_tensor(np.array(column).reshape(3, 1, 1))
+            out = normalize_minmax(t)
+            assert out.values[:, 0, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_column_maps_to_zero(self):
         t = make_tensor(np.array([4.0, 4.0]).reshape(2, 1, 1))
