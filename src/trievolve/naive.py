@@ -31,6 +31,7 @@ from .tensor_io import (
     CSV_HEADER,
     DatasetFormatError,
     ExpressionTensor,
+    _ragged_grid_error,
     _sorted_time_labels,
 )
 
@@ -240,10 +241,7 @@ def load_dataset_naive(path) -> ExpressionTensor:
     for cond in conditions:
         gaps = [t for t in times if t not in cond_times[cond]]
         if gaps:
-            raise DatasetFormatError(
-                f"{path}: ragged time grid: condition {cond!r} has no rows "
-                f"for time point(s) {', '.join(repr(t) for t in gaps)}"
-            )
+            raise _ragged_grid_error(path, cond, gaps)
 
     g_pos = {g: i for i, g in enumerate(genes)}
     c_pos = {c: i for i, c in enumerate(conditions)}

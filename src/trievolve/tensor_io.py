@@ -6,6 +6,11 @@ value field marks a missing measurement; so does an absent (gene, condition,
 time) triple.  Per-condition matrix layouts must be converted to this format
 upstream.
 
+The loader reads the file in chunks of lines.  A chunk with no quote, and
+no line too short to hold four fields or too long for ``csv``, is split on
+commas and line ends in one ``str.split``; the first other chunk, and every
+chunk after it, go through ``csv.reader``.  Both read a chunk's rows alike.
+
 All operations are pure given their inputs and seed, and tensors are
 immutable after construction, so they are safe to share across threads.
 """
@@ -15,6 +20,7 @@ import io
 import math
 import numbers
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, count, islice, product
@@ -27,6 +33,11 @@ CSV_HEADER = ("gene", "condition", "time", "value")
 
 # Rows parsed (or written) per step of the CSV reader and writer.
 _CHUNK_ROWS = 32768
+# Characters that send a chunk to csv instead of the comma split: csv reads
+# NUL as a plain character only from Python 3.11 on.
+_CSV_SPECIALS = '"' if sys.version_info >= (3, 11) else '"\0'
+# Missing time points named in a ragged-grid error; the rest are counted.
+_SHOWN_GAPS = 10
 
 PATTERN_CONSTANT = "constant"
 PATTERN_ADDITIVE = "additive"
@@ -124,23 +135,30 @@ def load_dataset(path) -> ExpressionTensor:
     on a line with several faults the field count is reported first, then an
     empty label, then the value, then a duplicate.
 
-    Rows are read by ``csv.reader`` in chunks of a fixed number of rows, each
-    turned into numpy columns before the next is read, so memory is bounded
-    by one chunk plus the columns and the tensor, for a rejected ragged file
-    too.  Reading stops at the first faulty row, and the columns stop before
-    it, so a duplicate among them lies earlier in the file than that row; a
+    Rows are read in chunks of a fixed number of rows, each turned into
+    numpy columns before the next is read, so memory is bounded by one chunk
+    plus the columns and the tensor, for a rejected ragged file too.
+
+    A chunk is read as raw lines.  While a chunk holds no quote, no line
+    shorter than 3 characters (a blank one included) and no line longer
+    than the csv field limit, each of its lines is one row whose fields are
+    the line less its line end, split on commas, which is what
+    ``csv.reader`` yields for it; the whole chunk is split with one
+    ``str.split``.  The first chunk that fails that test, or whose read
+    fails, goes through ``csv.reader`` with the rest of the file, so a
+    quoted field reads as csv reads it, across lines and chunks too.
+    Reading stops at the first faulty row, and the columns stop before it,
+    so a duplicate among them lies earlier in the file than that row; a
     read failure lies after both.
     """
-    # Label -> axis index in order of first appearance, one dict per axis.
-    axes: tuple[dict[str, int], dict[str, int], dict[str, int]] = ({}, {}, {})
+    axes = (_Index(), _Index(), _Index())
     parts = []
-    fault = failure = None
+    fault = failure = reader = None
     n_rows = 0
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DatasetFormatError(f"{path}: file is empty") from None
         if tuple(header) != CSV_HEADER:
@@ -149,18 +167,38 @@ def load_dataset(path) -> ExpressionTensor:
                 f"{','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
         while True:
-            # Each row's fields, then the row's number in the chunk, go into
-            # one flat list: no per-row list outlives its row (32k live lists
-            # would set off full garbage collections).  extend keeps the rows
-            # read before a failing one, whose faults are reported first.
-            flat: list = []
-            try:
-                flat.extend(chain.from_iterable(chain.from_iterable(
-                    zip(islice(reader, _CHUNK_ROWS), zip(count()))
-                )))
-            except (csv.Error, ValueError, OSError) as exc:  # decoding included
-                failure = exc
-            columns, fault = _parse_chunk(flat, n_rows, axes)
+            fields = None
+            if reader is None:
+                lines: list[str] = []
+                try:
+                    lines.extend(islice(fh, _CHUNK_ROWS))
+                except (ValueError, OSError) as exc:  # decoding included
+                    failure = exc
+                n = len(lines)
+                fields = None if failure else _split_lines(lines)
+                if fields is None:
+                    # This chunk's lines, then the rest of the file (or the
+                    # read failure), go through csv from here on.
+                    rest = fh if failure is None else _raising(failure)
+                    reader = csv.reader(chain(lines, rest))
+                    failure = None
+                del lines
+            if fields is not None:
+                columns, fault = _parse_lines(fields, n, n_rows, axes)
+            else:
+                # Each row's fields, then the row's number in the chunk, go
+                # into one flat list: no per-row list outlives its row (32k
+                # live lists would set off full garbage collections).  extend
+                # keeps the rows read before a failing one, whose faults are
+                # reported first.
+                flat: list = []
+                try:
+                    flat.extend(chain.from_iterable(chain.from_iterable(
+                        zip(islice(reader, _CHUNK_ROWS), zip(count()))
+                    )))
+                except (csv.Error, ValueError, OSError) as exc:  # decoding included
+                    failure = exc
+                columns, fault = _parse_chunk(flat, n_rows, axes)
             parts.append(columns)
             n_rows += len(columns[0])
             if fault or failure is not None or len(columns[0]) < _CHUNK_ROWS:
@@ -197,10 +235,7 @@ def load_dataset(path) -> ExpressionTensor:
         c = int(np.argmax(np.bincount(pair_conditions) < n_t))
         have = pairs[pair_conditions == c] % n_t
         gaps = [times[t] for t in np.setdiff1d(np.arange(n_t), have)]
-        raise DatasetFormatError(
-            f"{path}: ragged time grid: condition {conditions[c]!r} has no rows "
-            f"for time point(s) {', '.join(repr(t) for t in gaps)}"
-        )
+        raise _ragged_grid_error(path, conditions[c], gaps)
 
     values = np.full(shape, np.nan)
     mask = np.ones(shape, dtype=bool)
@@ -208,6 +243,104 @@ def load_dataset(path) -> ExpressionTensor:
     values.reshape(-1)[filled] = present_values
     mask.reshape(-1)[filled] = False
     return ExpressionTensor(values, tuple(genes), tuple(conditions), tuple(times), mask)
+
+
+def _ragged_grid_error(path, condition: str, gaps) -> DatasetFormatError:
+    """The error for a condition with no rows for the time points ``gaps``;
+    it names the first _SHOWN_GAPS of them and counts the rest."""
+    shown = [repr(t) for t in gaps[:_SHOWN_GAPS]]
+    if len(gaps) > _SHOWN_GAPS:
+        shown.append(f"… and {len(gaps) - _SHOWN_GAPS} more")
+    return DatasetFormatError(
+        f"{path}: ragged time grid: condition {condition!r} has no rows "
+        f"for time point(s) {', '.join(shown)}"
+    )
+
+
+class _Index(dict):
+    """Label -> axis index in order of first appearance; looking up a new
+    label gives it the next index."""
+
+    def __missing__(self, label):
+        self[label] = index = len(self)
+        return index
+
+
+def _raising(exc):
+    """An iterator that raises ``exc`` when first advanced."""
+    raise exc
+    yield  # unreachable; makes this a generator
+
+
+def _split_lines(lines) -> list[str] | None:
+    """Each line's fields as ``csv.reader`` reads them, then a ``"\\n"``, in
+    one flat list, or None when a line might read otherwise.
+
+    A line reads as its text less its line end, split on commas, unless it
+    holds a quote (or, before Python 3.11, a NUL), is longer than the csv
+    field limit, or is shorter than 3 characters: a blank line reads as no
+    fields, and no such line holds 4.  The file iterator ends a line only at
+    a CR, LF or CRLF, so the line end is its last one or two characters.
+    ``lines`` is emptied once it is joined, to free it before the split.
+    """
+    if not lines:
+        return []
+    text = "".join(lines)
+    sizes = list(map(len, lines))
+    if (
+        any(c in text for c in _CSV_SPECIALS)
+        or min(sizes) < 3
+        or max(sizes) > csv.field_size_limit()
+    ):
+        return None
+    lines.clear()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    fields = text.replace("\n", ",\n,").split(",")
+    fields.pop()  # the empty field after the last line end
+    return fields
+
+
+def _parse_lines(fields, n, offset, axes):
+    """``_parse_chunk`` for the fields of ``n`` lines from ``_split_lines``."""
+    # The n line ends are the only "\n" fields, and the last one ends the
+    # list, so every line has 4 fields exactly when they sit at every 5th place.
+    if fields[4::5] == ["\n"] * n:
+        columns = _clean_columns(fields, axes)
+        if columns is not None:
+            return columns, None
+    rows = count()
+    return _parse_chunk([next(rows) if f == "\n" else f for f in fields], offset, axes)
+
+
+def _clean_columns(flat, axes):
+    """Columns ``(gene, condition, first-seen time, present, value)`` of the
+    rows in ``flat``, each 4 fields and an end marker, or None if a row has
+    an empty label or a value that is not empty and not a finite float.
+    ``axes`` get the rows' new labels either way.
+    """
+    labels = (flat[0::5], flat[1::5], flat[2::5])
+    raws = flat[3::5]
+    n = len(raws)
+    indices = [
+        np.fromiter(map(pos.__getitem__, column), np.intp, n)
+        for column, pos in zip(labels, axes)
+    ]
+    # A faulty chunk's first pass leaves its labels, "" too, in axes, so
+    # the rows before its faulty row test their own columns.
+    if any("" in pos and "" in column for column, pos in zip(labels, axes)):
+        return None
+    try:
+        values = np.fromiter(
+            map(float, filter(None, raws)), np.float64, n - raws.count("")
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return (*indices, np.fromiter(map(bool, raws), bool, n), values)
 
 
 def _parse_chunk(flat, offset, axes):
@@ -223,26 +356,9 @@ def _parse_chunk(flat, offset, axes):
     n = flat[-1] + 1 if flat else 0
     # Every row has 4 fields exactly when the numbers sit at every 5th place.
     if len(flat) == 5 * n and flat[4::5] == list(range(n)):
-        labels = (flat[0::5], flat[1::5], flat[2::5])
-        raws = flat[3::5]
-        indices = []
-        for column, pos in zip(labels, axes):
-            for label in dict.fromkeys(column):
-                pos.setdefault(label, len(pos))
-            indices.append(np.fromiter(map(pos.__getitem__, column), np.intp, n))
-        # A faulty chunk's first pass leaves its labels, "" too, in axes, so
-        # the rows before its faulty row test their own columns.
-        clean = False
-        if not any("" in pos and "" in column for column, pos in zip(labels, axes)):
-            try:
-                values = np.fromiter(
-                    map(float, filter(None, raws)), np.float64, n - raws.count("")
-                )
-                clean = bool(np.isfinite(values).all())
-            except ValueError:
-                pass
-        if clean:
-            return (*indices, np.fromiter(map(bool, raws), bool, n), values), None
+        columns = _clean_columns(flat, axes)
+        if columns is not None:
+            return columns, None
     row, start, detail = _first_row_fault(flat)
     columns, _ = _parse_chunk(flat[:start], offset, axes)
     return columns, (offset + row, detail)
@@ -282,7 +398,11 @@ def _cell_index(gi, ci, ti, n_t) -> tuple[np.ndarray, np.ndarray]:
     on any file it stays below the square of the row count, so it cannot wrap.
     """
     keys = ci * n_t + ti
-    pairs = np.unique(keys)
+    # A sort and a run-start mask: np.unique takes a slower hash path.
+    ordered = np.sort(keys)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    pairs = ordered[first]
     return gi * len(pairs) + np.searchsorted(pairs, keys), pairs
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from itertools import product
@@ -154,6 +155,23 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError) as want:
             naive.load_dataset_naive(path)
         assert str(got.value) == str(want.value)
+        # Condition c0 has time 0 only: 19999 time points are missing.
+        message = str(got.value)
+        assert len(message.encode()) < 1024
+        assert "condition 'c0' has no rows for time point(s) '1', '2'," in message
+        assert message.endswith("… and 19989 more")
+
+    def test_ragged_message_names_ten_gaps_and_counts_the_rest(self, tmp_path):
+        rows = [f"a,x,{t},0.5" for t in range(13)] + ["a,y,0,0.5", "a,y,12,0.5"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        want = (
+            f"{path}: ragged time grid: condition 'y' has no rows for time "
+            "point(s) '1', '2', '3', '4', '5', '6', '7', '8', '9', '10', … and 1 more"
+        )
+        for load in (load_dataset, naive.load_dataset_naive):
+            with pytest.raises(DatasetFormatError) as got:
+                load(path)
+            assert str(got.value) == want
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -208,12 +226,12 @@ RAW_TAILS = ('g1,x,1,"open', "g1,x,1,0.5\x00", '"q"x,y,1,2', "\n\n", "g1,x")
 CHUNK_ROWS = st.sampled_from([2, 3, tensor_io._CHUNK_ROWS])
 
 
-@st.composite
-def csv_texts(draw):
-    """A long-format CSV text: a shuffled full grid, then up to four faults."""
-    genes = draw(st.lists(st.sampled_from(GENE_LABELS), min_size=1, max_size=4, unique=True))
-    conds = draw(st.lists(st.sampled_from(CONDITION_LABELS), min_size=1, max_size=3, unique=True))
-    pool = draw(st.sampled_from([NUMERIC_TIMES, LEXICAL_TIMES, NUMERIC_TIMES + ("t1",)]))
+def draw_lines(draw, gene_pool, condition_pool, time_pool):
+    """A header (or None) and the rows of a shuffled full grid over labels
+    from the pools, then up to four faults."""
+    genes = draw(st.lists(st.sampled_from(gene_pool), min_size=1, max_size=4, unique=True))
+    conds = draw(st.lists(st.sampled_from(condition_pool), min_size=1, max_size=3, unique=True))
+    pool = draw(st.sampled_from([NUMERIC_TIMES, time_pool, NUMERIC_TIMES + ("t1",)]))
     times = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
     rows = [[g, c, t, draw(VALUES)] for g, c, t in product(genes, conds, times)]
     rows = draw(st.permutations(rows))
@@ -242,6 +260,13 @@ def csv_texts(draw):
     header = draw(st.sampled_from(
         [list(tensor_io.CSV_HEADER)] * 8 + [["gene", "cond", "time", "value"], None]
     ))
+    return header, rows
+
+
+@st.composite
+def csv_texts(draw):
+    """A long-format CSV text: a shuffled full grid, then up to four faults."""
+    header, rows = draw_lines(draw, GENE_LABELS, CONDITION_LABELS, LEXICAL_TIMES)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n", "\r"])))
     if header is not None:
@@ -390,6 +415,164 @@ class TestCsvOracle:
         ti = np.array([5, 5, 5])
         cells, _ = tensor_io._cell_index(gi, ci, ti, 2**22)
         assert cells[0] == cells[2] != cells[1]
+
+
+# Quote-free labels, with characters that break lines for str.splitlines
+# (form feed, LINE SEPARATOR) but not for the file iterator or csv.
+PLAIN_GENES = ("g1", "g2", "g10", " pad ", "tab\tx", "nul\x00", "ff\x0c", "ls\u2028")
+PLAIN_CONDITIONS = ("x", "y", "z;w", "\x0c")
+PLAIN_TIMES = tuple(t for t in LEXICAL_TIMES if "," not in t)
+PLAIN_TAILS = ("g1,x,1,0.5\x00", "\n\n", "g1,x", "\r", "g1,x,1,")
+LINE_ENDS = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def plain_csv_texts(draw):
+    """A quote-free long-format CSV text with mixed line ends: a shuffled
+    full grid, up to four faults, and maybe no final line end."""
+    header, rows = draw_lines(draw, PLAIN_GENES, PLAIN_CONDITIONS, PLAIN_TIMES)
+    lines = ([header] if header is not None else []) + rows
+    text = "".join(",".join(fields) + draw(LINE_ENDS) for fields in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text + draw(st.sampled_from(("",) * 6 + PLAIN_TAILS))
+
+
+def csv_rows_read(path, chunk_rows):
+    """The outcome of load_dataset at ``chunk_rows``, and the rows that
+    ``csv.reader`` yielded while it ran."""
+    rows = []
+    real = csv.reader
+
+    class CountingReader:
+        def __init__(self, *args, **kwargs):
+            self.reader = real(*args, **kwargs)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            rows.append(next(self.reader))
+            return rows[-1]
+
+        @property
+        def line_num(self):
+            return self.reader.line_num
+
+    with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(tensor_io.csv, "reader", CountingReader):
+        outcome = _load_outcome(load_dataset, path)
+    return outcome, rows
+
+
+def matches_oracle(path, chunk_rows):
+    """The outcome of load_dataset at ``chunk_rows``, checked against the
+    row-by-row oracle's."""
+    with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
+        got = _load_outcome(load_dataset, path)
+    assert got == _load_outcome(naive.load_dataset_naive, path)
+    return got
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 3])
+class TestSplitPath:
+    """Chunks of quote-free lines split on commas, at their edges."""
+
+    def test_quoted_line_break_across_a_later_chunk_boundary(self, tmp_path, chunk_rows):
+        # The quoted label opens on the last line of the second chunk and
+        # closes on the first line of the third.
+        rows = [f"g{i},x,1,{i}" for i in range(2 * chunk_rows - 1)]
+        rows += ['"b\nq",x,1,0.5'] + [f"h{i},x,1,{i}" for i in range(4)]
+        path = write_csv(tmp_path / "d.csv", rows)
+        got = matches_oracle(path, chunk_rows)
+        assert got[3][2 * chunk_rows - 1] == "b\nq"
+        assert len(got[3]) == 2 * chunk_rows + 4
+
+    def test_field_past_the_csv_limit_fails_as_csv_does(self, tmp_path, chunk_rows):
+        rows = [f"g{i},x,1,{i}" for i in range(5)]
+        rows[3] = "g" + "n" * 40 + ",x,1,3"
+        path = write_csv(tmp_path / "d.csv", rows)
+        limit = csv.field_size_limit(20)
+        try:
+            got = matches_oracle(path, chunk_rows)
+        finally:
+            csv.field_size_limit(limit)
+        assert got[0] is csv.Error and "field larger than field limit (20)" in got[1]
+
+    def test_line_past_the_csv_limit_with_short_fields_loads(self, tmp_path, chunk_rows):
+        rows = [f"g{i},x,1,{i}" for i in range(5)]
+        rows[3] = "g" + "n" * 15 + ",x" + "x" * 15 + ",1,3"
+        path = write_csv(tmp_path / "d.csv", rows)
+        limit = csv.field_size_limit(20)
+        try:
+            got = matches_oracle(path, chunk_rows)
+        finally:
+            csv.field_size_limit(limit)
+        assert got[0] == (5, 2, 1)
+
+    def test_mixed_line_ends_and_no_final_line_end(self, tmp_path, chunk_rows):
+        ends = ["\r\n", "\n", "\r", "\n", "\r", "\r\n", "\r", ""]
+        text = "gene,condition,time,value\r"
+        text += "".join(f"g{i // 2},x,{i % 2},{i}{end}" for i, end in enumerate(ends))
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got, csv_rows = csv_rows_read(path, chunk_rows)
+        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+        assert got[0] == (4, 1, 2)
+        assert np.frombuffer(got[1]).tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+
+    def test_blank_line_mid_chunk(self, tmp_path, chunk_rows):
+        rows = ["a,x,1,0.5", "a,x,2,0.6", "a,x,3,0.7", "", "a,x,4,0.8", "a,x,5,0.9"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        got = matches_oracle(path, chunk_rows)
+        assert got == (DatasetFormatError, f"{path}: line 5: expected 4 fields, got 0")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_labels_that_str_splitlines_would_break(self, tmp_path, chunk_rows, end):
+        genes = ["nul\x00", "ff\x0c", "ls\u2028", "ps\u2029", "vt\x0b"]
+        rows = [f"{g},x\x1c,1,{i}" for i, g in enumerate(genes)]
+        path = tmp_path / "d.csv"
+        text = end.join(["gene,condition,time,value"] + rows) + end
+        path.write_text(text, encoding="utf-8", newline="")
+        got, csv_rows = csv_rows_read(path, chunk_rows)
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+        assert got[3] == tuple(genes) and got[4] == ("x\x1c",)
+        if sys.version_info >= (3, 11):  # csv rejects NUL before 3.11
+            assert csv_rows == [list(tensor_io.CSV_HEADER)]
+
+
+class TestSplitPathGuard:
+    """A quote-free file must not fall back to csv: that costs a quarter of
+    the load time and fails no result."""
+
+    def test_clean_file_sends_only_its_header_through_csv(self, tmp_path):
+        rows = [f"g{i // 10},c{i % 10 // 5},{i % 5},{i / 7!r}" for i in range(1000)]
+        path = write_csv(tmp_path / "d.csv", rows)
+        got, csv_rows = csv_rows_read(path, 3)
+        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert got[0] == (100, 2, 5)
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_first_quote_in_chunk_k_switches_at_chunk_k(self, tmp_path, k):
+        rows = [f"g{i},x,1,{i}" for i in range(30)]
+        rows[3 * (k - 1) + 1] = f'"g{3 * (k - 1) + 1}",x,1,0'
+        path = write_csv(tmp_path / "d.csv", rows)
+        got, csv_rows = csv_rows_read(path, 3)
+        assert len(csv_rows) == 1 + 30 - 3 * (k - 1)
+        assert csv_rows[1] == rows[3 * (k - 1)].split(",")
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_csv_texts(), CHUNK_ROWS)
+    def test_quote_free_load_matches_row_by_row_oracle(self, text, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
+                got = _load_outcome(load_dataset, path)
+            assert got == _load_outcome(naive.load_dataset_naive, path)
 
 
 class TestTensorInvariants:
