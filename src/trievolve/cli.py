@@ -293,16 +293,13 @@ def cmd_run(args) -> int:
     tensor = impute_missing(tensor, seed)
 
     out_dir = _out_dir(args.out)
-    traces: list[GenerationTrace] = []
     started = time.monotonic()
     try:
-        archive = run_triea(
-            tensor, config, trace_sink=lambda k, tr: traces.append(tr)
-        )
+        archive = run_triea(tensor, config)
     except ValueError as exc:
         raise _Exit(EXIT_INPUT, str(exc))
     duration = time.monotonic() - started
-    for k, trace in enumerate(traces):
+    for k, trace in enumerate(archive.runs):
         bad = _non_finite_score(trace.records[-1].best)
         if bad is not None:
             raise _Exit(
@@ -311,13 +308,13 @@ def cmd_run(args) -> int:
             )
 
     _write_json(out_dir / "triclusters.json", _archive_payload(archive, tensor))
-    for k, trace in enumerate(traces):
+    for k, trace in enumerate(archive.runs):
         _write_trace(out_dir / f"trace_{k + 1}.csv", trace)
 
     lsls = [e.breakdown.lsl for e in archive]
     msrs = [e.breakdown.msr for e in archive]
     runs = []
-    for k, trace in enumerate(traces):
+    for k, trace in enumerate(archive.runs):
         best = trace.records[-1].best
         runs.append({
             "index": k + 1,  # the run's trace is trace_<index>.csv

@@ -130,11 +130,14 @@ class Archive:
     """Accepted triclusters plus per-axis coverage of their coordinates.
 
     Coverage feeds the distinction term and the overlap-avoiding
-    initialization of later runs.
+    initialization of later runs.  ``runs`` holds each covering run's trace
+    in run order, accepted or not; it is empty for an archive read back
+    from its entries.
     """
 
     def __init__(self):
         self.entries: list[ArchiveEntry] = []
+        self.runs: list[GenerationTrace] = []
         self.covered_genes: set[int] = set()
         self.covered_conditions: set[int] = set()
         self.covered_times: set[int] = set()
@@ -369,22 +372,21 @@ def evolve_one_tricluster(
     return (decode(population[best], dims), scores[best]), trace
 
 
-def run_triea(tensor, config: GAConfig, trace_sink=None) -> Archive:
+def run_triea(tensor, config: GAConfig) -> Archive:
     """Sequential covering: repeat the GA run, archiving each best candidate
     whose LSL is strictly below the threshold.
 
     A run failing the threshold guard stores nothing but still consumes its
-    iteration, so the archive may end up smaller than ``n_triclusters``.
-    ``trace_sink(run_index, trace)`` is invoked for every run when given.
+    iteration, so the archive may end up smaller than ``n_triclusters``;
+    its ``runs`` keep all ``n_triclusters`` traces in run order.
     """
     rng = np.random.default_rng(config.seed)
     archive = Archive()
-    for k in range(config.n_triclusters):
+    for _ in range(config.n_triclusters):
         (coords, breakdown), trace = evolve_one_tricluster(
             tensor, config, archive, rng
         )
-        if trace_sink is not None:
-            trace_sink(k, trace)
+        archive.runs.append(trace)
         if config.accepts(breakdown):
             archive.add(coords, breakdown)
     return archive

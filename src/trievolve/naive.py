@@ -185,7 +185,7 @@ def load_dataset_naive(path) -> ExpressionTensor:
     times_seen: set[str] = set()
     cond_times: dict[str, set[str]] = {}
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1,15 +1,15 @@
 """Loading, normalizing and generating 3D expression tensors.
 
 The canonical input is a long-format CSV with header exactly
-``gene,condition,time,value`` (UTF-8, ``.`` decimal separator).  An empty
-value field marks a missing measurement; so does an absent (gene, condition,
-time) triple.  Per-condition matrix layouts must be converted to this format
-upstream.
+``gene,condition,time,value`` (UTF-8, with or without a byte-order mark;
+``.`` decimal separator).  An empty value field marks a missing measurement;
+so does an absent (gene, condition, time) triple.  Per-condition matrix
+layouts must be converted to this format upstream.
 
-The loader reads the file in chunks of lines.  A chunk with no quote, and
-no line too short to hold four fields or too long for ``csv``, is split on
-commas and line ends in one ``str.split``; the first other chunk, and every
-chunk after it, go through ``csv.reader``.  Both read a chunk's rows alike.
+The loader reads the file in chunks of lines.  A quote-free chunk whose
+every line splits into a clean row is split on commas and line ends in one
+``str.split``; the first other chunk, and every chunk after it, go through
+``csv.reader``, and faults are found only in the rows csv reads.
 
 All operations are pure given their inputs and seed, and tensors are
 immutable after construction, so they are safe to share across threads.
@@ -27,7 +27,7 @@ from itertools import chain, count, islice, product
 
 import numpy as np
 
-from .quality import TriclusterCoords
+from .quality import TriclusterCoords, jaccard_cells
 
 CSV_HEADER = ("gene", "condition", "time", "value")
 
@@ -139,24 +139,26 @@ def load_dataset(path) -> ExpressionTensor:
     numpy columns before the next is read, so memory is bounded by one chunk
     plus the columns and the tensor, for a rejected ragged file too.
 
-    A chunk is read as raw lines.  While a chunk holds no quote, no line
-    shorter than 3 characters (a blank one included) and no line longer
-    than the csv field limit, each of its lines is one row whose fields are
-    the line less its line end, split on commas, which is what
-    ``csv.reader`` yields for it; the whole chunk is split with one
-    ``str.split``.  The first chunk that fails that test, or whose read
-    fails, goes through ``csv.reader`` with the rest of the file, so a
-    quoted field reads as csv reads it, across lines and chunks too.
-    Reading stops at the first faulty row, and the columns stop before it,
-    so a duplicate among them lies earlier in the file than that row; a
-    read failure lies after both.
+    A chunk is read as raw lines and joined into one text; the lines are
+    dropped then.  While a chunk holds no quote and no line longer than the
+    csv field limit, each line is one row whose fields are the line less its
+    line end, split on commas, which is what ``csv.reader`` yields for it;
+    the whole text is split with one ``str.split``, and the chunk is taken
+    when every line has 4 fields and every row is clean.  The first chunk
+    that fails that test (a blank, short or faulty line included), or whose
+    read fails, goes through ``csv.reader`` as its text followed by the
+    rest of the file, so a quoted field reads as csv reads it, across lines
+    and chunks too, and every fault is found in csv's rows.  Reading stops
+    at the first faulty row, and the columns stop before it, so a duplicate
+    among them lies earlier in the file than that row; a read failure lies
+    after both.  A leading UTF-8 byte-order mark is skipped.
     """
     axes = (_Index(), _Index(), _Index())
     parts = []
     fault = failure = reader = None
     n_rows = 0
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -167,7 +169,7 @@ def load_dataset(path) -> ExpressionTensor:
                 f"{','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
         while True:
-            fields = None
+            columns = None
             if reader is None:
                 lines: list[str] = []
                 try:
@@ -175,17 +177,28 @@ def load_dataset(path) -> ExpressionTensor:
                 except (ValueError, OSError) as exc:  # decoding included
                     failure = exc
                 n = len(lines)
-                fields = None if failure else _split_lines(lines)
-                if fields is None:
-                    # This chunk's lines, then the rest of the file (or the
+                longest = max(map(len, lines), default=0)
+                text = "".join(lines)
+                del lines
+                # A quote, and a field past csv's limit, read only as csv reads them.
+                if (
+                    failure is None
+                    and longest <= csv.field_size_limit()
+                    and not any(c in text for c in _CSV_SPECIALS)
+                ):
+                    if "\r" in text:
+                        # Unquoted, a CR, LF or CRLF ends a row alike, for
+                        # csv too; rebinding text frees the original.
+                        text = text.replace("\r\n", "\n").replace("\r", "\n")
+                    columns = _split_columns(text, n, axes)
+                if columns is None:
+                    # This chunk's text, then the rest of the file (or the
                     # read failure), go through csv from here on.
                     rest = fh if failure is None else _raising(failure)
-                    reader = csv.reader(chain(lines, rest))
+                    reader = csv.reader(chain(io.StringIO(text, newline=""), rest))
                     failure = None
-                del lines
-            if fields is not None:
-                columns, fault = _parse_lines(fields, n, n_rows, axes)
-            else:
+                del text
+            if columns is None:
                 # Each row's fields, then the row's number in the chunk, go
                 # into one flat list: no per-row list outlives its row (32k
                 # live lists would set off full garbage collections).  extend
@@ -272,47 +285,25 @@ def _raising(exc):
     yield  # unreachable; makes this a generator
 
 
-def _split_lines(lines) -> list[str] | None:
-    """Each line's fields as ``csv.reader`` reads them, then a ``"\\n"``, in
-    one flat list, or None when a line might read otherwise.
+def _split_columns(text, n, axes):
+    """``_clean_columns`` of a chunk's text of ``n`` lines split on commas
+    and line ends, or None when a line does not hold 4 fields or a row is
+    faulty.
 
-    A line reads as its text less its line end, split on commas, unless it
-    holds a quote (or, before Python 3.11, a NUL), is longer than the csv
-    field limit, or is shorter than 3 characters: a blank line reads as no
-    fields, and no such line holds 4.  The file iterator ends a line only at
-    a CR, LF or CRLF, so the line end is its last one or two characters.
-    ``lines`` is emptied once it is joined, to free it before the split.
+    ``text`` holds no quote (nor, before Python 3.11, a NUL) and ends its
+    lines with LF, the last one maybe with none, so each line reads in
+    ``csv.reader`` as its text less its line end, split on commas.
     """
-    if not lines:
-        return []
-    text = "".join(lines)
-    sizes = list(map(len, lines))
-    if (
-        any(c in text for c in _CSV_SPECIALS)
-        or min(sizes) < 3
-        or max(sizes) > csv.field_size_limit()
-    ):
-        return None
-    lines.clear()
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if not text.endswith("\n"):
+    if text and not text.endswith("\n"):
         text += "\n"
     fields = text.replace("\n", ",\n,").split(",")
     fields.pop()  # the empty field after the last line end
-    return fields
-
-
-def _parse_lines(fields, n, offset, axes):
-    """``_parse_chunk`` for the fields of ``n`` lines from ``_split_lines``."""
     # The n line ends are the only "\n" fields, and the last one ends the
-    # list, so every line has 4 fields exactly when they sit at every 5th place.
-    if fields[4::5] == ["\n"] * n:
-        columns = _clean_columns(fields, axes)
-        if columns is not None:
-            return columns, None
-    rows = count()
-    return _parse_chunk([next(rows) if f == "\n" else f for f in fields], offset, axes)
+    # list, so every line has 4 fields exactly when they sit at every 5th
+    # place; a blank or short line does not.
+    if fields[4::5] != ["\n"] * n:
+        return None
+    return _clean_columns(fields, axes)
 
 
 def _clean_columns(flat, axes):
@@ -415,7 +406,7 @@ def _first_repeat(keys) -> int | None:
 
 def _line_of_row(path, row: int) -> int:
     """Line number ``csv.reader`` reports after data row ``row`` (0-based)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         deque(islice(reader, row + 2), maxlen=0)  # the header, then the rows
         return reader.line_num
@@ -603,12 +594,7 @@ class SyntheticSpec:
 def _check_disjoint(planted) -> None:
     for i in range(len(planted)):
         for j in range(i + 1, len(planted)):
-            a, b = planted[i][0], planted[j][0]
-            if (
-                set(a.genes) & set(b.genes)
-                and set(a.conditions) & set(b.conditions)
-                and set(a.times) & set(b.times)
-            ):
+            if jaccard_cells(planted[i][0], planted[j][0]) > 0:
                 raise RegionOverlapError(
                     f"planted regions {i} and {j} overlap; ground truth would "
                     "be ambiguous"

@@ -8,9 +8,18 @@ modified.
 
 import importlib.util
 import json
+from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
-from trievolve import SyntheticSpec, cli, export_csv, generate_synthetic
+import numpy as np
+import pytest
+
+from trievolve import (
+    Archive, QualityWeights, SyntheticSpec, cli, export_csv, fitness, generate_synthetic,
+)
+
+from conftest import random_coords
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -99,3 +108,48 @@ def test_traced_run_breeds_one_block_per_generation(tmp_path):
         assert tracer.root(cli.main, argv) in (0, 4)
     for op in ("engine.crossover", "engine.mutate", "engine.repair"):
         assert tracer.calls[op] == runs * (generations - 1), op
+
+
+@pytest.mark.parametrize("delta, code", [(None, 0), (0.0, 4)])
+def test_traced_run_counts_the_manifests_runs(tmp_path, delta, code):
+    # The tracer reads the accepted count as len(run_triea(...)) and the
+    # rejected count as n_triclusters less it.
+    tensor, _ = generate_synthetic(SyntheticSpec(dims=(8, 3, 4), seed=5))
+    csv = tmp_path / "tensor.csv"
+    export_csv(tensor, csv)
+    out = tmp_path / "run"
+    argv = ["run", "--input", str(csv), "--out", str(out), "--pop", "5",
+            "--generations", "3", "--n-triclusters", "4", "--seed", "1"]
+    if delta is not None:
+        argv += ["--delta", str(delta)]
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        assert tracer.root(cli.main, argv) == code
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    accepted = sum(r["accepted"] for r in runs)
+    assert len(runs) == 4 and (accepted > 0) == (code == 0)
+    assert tracer.runs_accepted == accepted
+    assert tracer.runs_rejected == len(runs) - accepted
+
+
+def test_fitness_reads_a_namespace_of_coverage_sets_as_an_archive():
+    # The benchmark's output checks score against a SimpleNamespace holding
+    # only the covered_genes / covered_conditions / covered_times sets.
+    rng = np.random.default_rng(3)
+    values = rng.random((9, 5, 6))
+    weights = QualityWeights()
+    archived = [random_coords(rng, values.shape) for _ in range(3)]
+    archive = Archive()
+    namespace = SimpleNamespace(covered_genes=set(), covered_conditions=set(), covered_times=set())
+    for coords in archived:
+        archive.add(coords, None)
+        namespace.covered_genes.update(coords.genes)
+        namespace.covered_conditions.update(coords.conditions)
+        namespace.covered_times.update(coords.times)
+    for _ in range(20):
+        coords = random_coords(rng, values.shape)
+        got, want = (
+            np.array(astuple(fitness(values, coords, weights, a))).tobytes()
+            for a in (namespace, archive)
+        )
+        assert got == want

@@ -358,6 +358,17 @@ class TestEvaluate:
         want = fitness(load_dataset(dataset_csv), coords, QualityWeights())
         assert got == want.to_dict()
 
+    def test_byte_order_mark_is_skipped(self, dataset_csv, tmp_path, capsys):
+        coords_path = tmp_path / "c.json"
+        coords_path.write_text(json.dumps({"genes": [0, 1], "conditions": [0, 1], "times": [0, 1]}))
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + dataset_csv.read_bytes())
+        outputs = []
+        for path in (dataset_csv, bom_csv):
+            assert main(["evaluate", "--input", str(path), "--coords", str(coords_path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_archive_feeds_distinction(self, dataset_csv, tmp_path, capsys):
         coords = TriclusterCoords((0, 1), (0, 1), (0, 1))
         coords_path = tmp_path / "c.json"

@@ -516,12 +516,14 @@ class TestRunTriea:
             genes |= set(entry.coords.genes)
         assert archive.covered_genes == genes
 
-    def test_trace_sink_called_per_run(self, small_tensor):
+    def test_archive_keeps_a_trace_per_run(self, small_tensor):
         config = GAConfig(generations=4, n_triclusters=5, seed=1)
-        seen = []
-        run_triea(small_tensor, config, trace_sink=lambda k, t: seen.append((k, len(t.records))))
-        assert [k for k, _ in seen] == [0, 1, 2, 3, 4]
-        assert all(n == 4 for _, n in seen)
+        archive = run_triea(small_tensor, config)
+        assert len(archive.runs) == 5
+        assert all(len(t.records) == 4 for t in archive.runs)
+        # In run order: each accepted run's best is its last record's best.
+        accepted = [t.records[-1].best for t in archive.runs if config.accepts(t.records[-1].best)]
+        assert accepted == [e.breakdown for e in archive]
 
     def test_bit_identical_archives(self, small_tensor):
         config = GAConfig(generations=8, n_triclusters=3, seed=11)
@@ -560,11 +562,6 @@ def _ga_digest(n_cases: int) -> str:
     def put_ints(*xs):
         h.update(",".join(map(str, xs)).encode() + b";")
 
-    def sink(k, trace):
-        put_ints(k, len(trace.records), trace.evaluations, trace.memo_hits)
-        for rec in trace.records:
-            put_breakdown(rec.best)
-            put_floats(rec.mean_f)
 
     rng = np.random.default_rng(2024)
     probabilities = (0.0, 0.5, 1.0)
@@ -582,7 +579,12 @@ def _ga_digest(n_cases: int) -> str:
             seed=int(rng.integers(1000)),
         )
         put_ints(case)
-        archive = run_triea(tensor, config, trace_sink=sink)
+        archive = run_triea(tensor, config)
+        for k, trace in enumerate(archive.runs):
+            put_ints(k, len(trace.records), trace.evaluations, trace.memo_hits)
+            for rec in trace.records:
+                put_breakdown(rec.best)
+                put_floats(rec.mean_f)
         put_ints(len(archive))
         for entry in archive:
             coords = entry.coords

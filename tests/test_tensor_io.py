@@ -564,6 +564,23 @@ class TestSplitPathGuard:
         assert csv_rows[1] == rows[3 * (k - 1)].split(",")
         assert got == _load_outcome(naive.load_dataset_naive, path)
 
+    @pytest.mark.parametrize("fault", ["a,x,1,abc", "", "a,x,1"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_faulty_line_in_chunk_k_sends_chunk_k_through_csv(self, tmp_path, k, fault):
+        # A bad value, a blank line or a short line as the middle row of
+        # chunk k: the chunks before it are split, and its fault is found in
+        # the rows csv reads.  The fault's line number is then counted by a
+        # second reader from the top of the file.
+        rows = [f"g{i},x,1,{i}" for i in range(15)]
+        rows[3 * (k - 1) + 1] = fault
+        path = write_csv(tmp_path / "d.csv", rows)
+        got, csv_rows = csv_rows_read(path, 3)
+        header = [list(tensor_io.CSV_HEADER)]
+        split = [r.split(",") if r else [] for r in rows]
+        assert csv_rows == header + split[3 * (k - 1):3 * k] + header + split[:3 * k - 1]
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+        assert got[0] is DatasetFormatError and f"line {3 * k}: " in got[1]
+
     @settings(max_examples=300, deadline=None)
     @given(plain_csv_texts(), CHUNK_ROWS)
     def test_quote_free_load_matches_row_by_row_oracle(self, text, chunk_rows):
@@ -573,6 +590,28 @@ class TestSplitPathGuard:
             with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
                 got = _load_outcome(load_dataset, path)
             assert got == _load_outcome(naive.load_dataset_naive, path)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark, as spreadsheet
+    programs write "CSV UTF-8", reads as the same file without it."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, tensor_io._CHUNK_ROWS])
+    @pytest.mark.parametrize("value", ["0.2", "abc"])
+    def test_bom_file_matches_oracle_and_plain_file(self, tmp_path, chunk_rows, value):
+        rows = ["a,x,1,0.1", f"a,x,2,{value}", "b,x,1,0.3", "b,x,2,0.4"]
+        plain = write_csv(tmp_path / "plain.csv", rows)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + plain.read_bytes())
+        got = matches_oracle(path, chunk_rows)
+        if value == "abc":
+            assert got == (DatasetFormatError, f"{path}: line 3: bad value 'abc'")
+        else:
+            assert got == matches_oracle(plain, chunk_rows)
+            assert got[3] == ("a", "b")
 
 
 class TestTensorInvariants:
