@@ -2,8 +2,10 @@
 
 Subcommands:
 
-* ``run``      -- full mining run on a CSV dataset; writes triclusters.json,
-                  one trace CSV per run, and a manifest.
+* ``run``      -- full mining run on a CSV dataset; once every run's best
+                  has scored finite, writes triclusters.json, then
+                  trace_1.csv ... trace_N.csv (one per run), then
+                  manifest.json.
 * ``generate`` -- build a synthetic tensor with planted regions from a JSON
                   spec; writes the tensor CSV plus ground_truth.json.
 * ``evaluate`` -- score user-supplied coordinates against a dataset and print
@@ -182,14 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @contextmanager
 def _writing(path: Path):
     """Exit 2 when writing ``path`` fails."""
@@ -299,42 +293,40 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise _Exit(EXIT_INPUT, str(exc))
     duration = time.monotonic() - started
-    for k, trace in enumerate(archive.runs):
+    for index, trace in enumerate(archive.runs, 1):
         bad = _non_finite_score(trace.records[-1].best)
         if bad is not None:
             raise _Exit(
                 EXIT_INPUT,
-                f"run {k + 1} scored a non-finite {bad}; rescale the input values",
+                f"run {index} scored a non-finite {bad}; rescale the input values",
             )
 
     _write_json(out_dir / "triclusters.json", _archive_payload(archive, tensor))
-    for k, trace in enumerate(archive.runs):
-        _write_trace(out_dir / f"trace_{k + 1}.csv", trace)
-
-    lsls = [e.breakdown.lsl for e in archive]
-    msrs = [e.breakdown.msr for e in archive]
     runs = []
-    for k, trace in enumerate(archive.runs):
+    for index, trace in enumerate(archive.runs, 1):
+        _write_trace(out_dir / f"trace_{index}.csv", trace)
         best = trace.records[-1].best
         runs.append({
-            "index": k + 1,  # the run's trace is trace_<index>.csv
+            "index": index,
             "accepted": config.accepts(best),
             "best_lsl": best.lsl,
             "evaluations": trace.evaluations,
             "memo_hits": trace.memo_hits,
         })
+    with open(args.input, "rb") as fh:
+        input_sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
     manifest = {
         "tool_version": __version__,
         "input": str(args.input),
-        "input_sha256": _sha256(args.input),
+        "input_sha256": input_sha256,
         "genes_limit": args.genes_limit,
         "normalize": not args.no_normalize,
         "config": dataclasses.asdict(config),
         "duration_seconds": duration,
         "archive": {
             "count": len(archive),
-            "mean_lsl": fmean(lsls) if lsls else None,
-            "mean_msr": fmean(msrs) if msrs else None,
+            "mean_lsl": fmean(e.breakdown.lsl for e in archive) if archive else None,
+            "mean_msr": fmean(e.breakdown.msr for e in archive) if archive else None,
         },
         "runs": runs,
     }

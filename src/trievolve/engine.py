@@ -28,6 +28,8 @@ the run, because the next run sees a grown archive.
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from statistics import fmean
 
@@ -96,9 +98,11 @@ class GAConfig:
     def __post_init__(self):
         for name in ("population_size", "generations", "n_triclusters", "seed"):
             value = getattr(self, name)
-            # numpy would take True as 1 and fail on a float only mid-run.
-            if not isinstance(value, int) or isinstance(value, bool):
+            # numpy would take True as 1 and fail on a float only mid-run;
+            # a numpy integer is kept as a plain int, which JSON can write.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.population_size < 1 or self.generations < 1 or self.n_triclusters < 1:
             raise ValueError("population_size, generations, n_triclusters must be >= 1")
         for name in ("p_crossover", "p_mutation"):

@@ -6,10 +6,10 @@ The canonical input is a long-format CSV with header exactly
 so does an absent (gene, condition, time) triple.  Per-condition matrix
 layouts must be converted to this format upstream.
 
-The loader reads the file in chunks of lines.  A quote-free chunk whose
-every line splits into a clean row is split on commas and line ends in one
-``str.split``; the first other chunk, and every chunk after it, go through
-``csv.reader``, and faults are found only in the rows csv reads.
+The loader reads the input in one pass of line chunks, so it may be a pipe.
+A chunk with no quote whose every line splits into a clean row is split on
+commas and line ends in one ``str.split``; the first other chunk, and every
+chunk after it, go through ``csv.reader``, and faults are sought only there.
 
 All operations are pure given their inputs and seed, and tensors are
 immutable after construction, so they are safe to share across threads.
@@ -20,7 +20,7 @@ import io
 import math
 import numbers
 import operator
-import sys
+import os
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, count, islice, product
@@ -33,9 +33,6 @@ CSV_HEADER = ("gene", "condition", "time", "value")
 
 # Rows parsed (or written) per step of the CSV reader and writer.
 _CHUNK_ROWS = 32768
-# Characters that send a chunk to csv instead of the comma split: csv reads
-# NUL as a plain character only from Python 3.11 on.
-_CSV_SPECIALS = '"' if sys.version_info >= (3, 11) else '"\0'
 # Missing time points named in a ragged-grid error; the rest are counted.
 _SHOWN_GAPS = 10
 
@@ -133,7 +130,8 @@ def load_dataset(path) -> ExpressionTensor:
     and for ragged time grids where a condition has no rows at all for some
     time point.  The reported line is the first offending one in the file;
     on a line with several faults the field count is reported first, then an
-    empty label, then the value, then a duplicate.
+    empty label, then the value, then a duplicate.  An input that cannot be
+    read twice to count lines, such as a pipe, names the data row instead.
 
     Rows are read in chunks of a fixed number of rows, each turned into
     numpy columns before the next is read, so memory is bounded by one chunk
@@ -184,7 +182,7 @@ def load_dataset(path) -> ExpressionTensor:
                 if (
                     failure is None
                     and longest <= csv.field_size_limit()
-                    and not any(c in text for c in _CSV_SPECIALS)
+                    and '"' not in text
                 ):
                     if "\r" in text:
                         # Unquoted, a CR, LF or CRLF ends a row alike, for
@@ -235,7 +233,7 @@ def load_dataset(path) -> ExpressionTensor:
         )
     if fault:
         row, detail = fault
-        raise DatasetFormatError(f"{path}: line {_line_of_row(path, row)}: {detail}")
+        raise DatasetFormatError(f"{path}: {_row_place(path, row)}: {detail}")
     if failure is not None:
         raise failure
     if not n_rows:
@@ -290,9 +288,9 @@ def _split_columns(text, n, axes):
     and line ends, or None when a line does not hold 4 fields or a row is
     faulty.
 
-    ``text`` holds no quote (nor, before Python 3.11, a NUL) and ends its
-    lines with LF, the last one maybe with none, so each line reads in
-    ``csv.reader`` as its text less its line end, split on commas.
+    ``text`` holds no quote, the one character csv reads specially here,
+    and ends its lines with LF, the last one maybe with none, so each line
+    reads in ``csv.reader`` as its text less its line end, split on commas.
     """
     if text and not text.endswith("\n"):
         text += "\n"
@@ -404,12 +402,15 @@ def _first_repeat(keys) -> int | None:
     return int(later.min()) if later.size else None
 
 
-def _line_of_row(path, row: int) -> int:
-    """Line number ``csv.reader`` reports after data row ``row`` (0-based)."""
+def _row_place(path, row: int) -> str:
+    """``line N`` as ``csv.reader`` counts it after data row ``row`` (0-based),
+    or ``data row N`` for an input that cannot be read twice, such as a pipe."""
+    if not os.path.isfile(path):
+        return f"data row {row + 1}"
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         deque(islice(reader, row + 2), maxlen=0)  # the header, then the rows
-        return reader.line_num
+        return f"line {reader.line_num}"
 
 
 def export_csv(tensor: ExpressionTensor, path) -> None:
@@ -618,25 +619,19 @@ def generate_synthetic(
         values = rng.normal(0.5, 0.15, spec.dims)
 
     for coords, pattern in spec.planted:
-        ix = np.ix_(coords.genes, coords.conditions, coords.times)
         shape = (coords.n_genes, coords.n_conditions, coords.n_times)
         if pattern == PATTERN_CONSTANT:
             region = np.full(shape, rng.uniform(0.25, 0.75))
-        elif pattern == PATTERN_ADDITIVE:
-            base = rng.uniform(0.4, 0.6)
-            a = rng.uniform(-0.1, 0.1, shape[0])
-            b = rng.uniform(-0.1, 0.1, shape[1])
-            d = rng.uniform(-0.1, 0.1, shape[2])
-            region = base + a[:, None, None] + b[None, :, None] + d[None, None, :]
         else:
-            base = rng.uniform(0.4, 0.6)
-            a = rng.uniform(0.85, 1.15, shape[0])
-            b = rng.uniform(0.85, 1.15, shape[1])
-            d = rng.uniform(0.85, 1.15, shape[2])
-            region = base * a[:, None, None] * b[None, :, None] * d[None, None, :]
+            # A base, then a factor per gene, condition and time, left to right.
+            add = pattern == PATTERN_ADDITIVE
+            combine, low, high = (np.add, -0.1, 0.1) if add else (np.multiply, 0.85, 1.15)
+            region = rng.uniform(0.4, 0.6)
+            for axis_shape in ((shape[0], 1, 1), (shape[1], 1), (shape[2],)):
+                region = combine(region, rng.uniform(low, high, axis_shape))
         if spec.noise_sigma > 0:
             region = region + rng.normal(0.0, spec.noise_sigma, shape)
-        values[ix] = region
+        values[np.ix_(coords.genes, coords.conditions, coords.times)] = region
 
     tensor = ExpressionTensor(
         values,

@@ -1,3 +1,6 @@
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,19 @@ def random_coords(rng, shape, min_size=2) -> TriclusterCoords:
         size = int(rng.integers(min_size, n + 1))
         picks.append(tuple(rng.choice(n, size=size, replace=False)))
     return TriclusterCoords(*picks)
+
+
+@contextlib.contextmanager
+def pipe_path(text: str):
+    """A ``/dev/fd`` path that reads ``text`` from a pipe once, as a shell's
+    ``<(cat file)`` does; the text must fit in the pipe's buffer."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode("utf-8"))
+        os.close(write_end)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from trievolve import (
 from trievolve import cli
 from trievolve.cli import main
 
-from conftest import make_tensor
+from conftest import make_tensor, pipe_path
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,33 @@ class TestRun:
         runs = read_json(out / "manifest.json")["runs"]
         assert [(r["index"], r["accepted"]) for r in runs] == [(1, False), (2, False)]
         assert all(r["best_lsl"] >= 0.0 for r in runs)
+
+    def test_manifest_digest_and_archive_means(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--seed", "3", "--generations", "4", "--n-triclusters", "3",
+        ])
+        assert code == 0
+        entries = read_json(out / "triclusters.json")["entries"]
+        manifest = read_json(out / "manifest.json")
+        assert manifest["input_sha256"] == hashlib.sha256(dataset_csv.read_bytes()).hexdigest()
+        assert manifest["archive"] == {
+            "count": len(entries),
+            "mean_lsl": fmean([e["lsl"] for e in entries]),
+            "mean_msr": fmean([e["msr"] for e in entries]),
+        }
+
+    def test_manifest_means_null_for_empty_archive(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--seed", "1", "--generations", "3", "--n-triclusters", "2",
+            "--delta", "0",
+        ])
+        assert code == 4
+        archive = read_json(out / "manifest.json")["archive"]
+        assert archive == {"count": 0, "mean_lsl": None, "mean_msr": None}
 
     def test_byte_identical_reruns(self, dataset_csv, tmp_path):
         outs = []
@@ -316,6 +345,19 @@ class TestGenerate:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("rows, detail", [
+        (["a,x,1,0.5", "a,x,2,abc", "a,x,3,0.7"], "data row 2: bad value 'abc'"),
+        (["a,x,1,0.5", "a,x,1,0.6"], "data row 2: duplicate entry"),
+    ])
+    def test_faulty_pipe_input_exit_3(self, tmp_path, capsys, rows, detail):
+        coords_path = tmp_path / "c.json"
+        coords_path.write_text(json.dumps({"genes": [0, 1], "conditions": [0], "times": [0]}))
+        text = "gene,condition,time,value\n" + "\n".join(rows) + "\n"
+        with pipe_path(text) as fd_path:
+            code = main(["evaluate", "--input", fd_path, "--coords", str(coords_path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {fd_path}: {detail}")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_score_exit_3(self, huge_csv, tmp_path, capsys):
         coords_path = tmp_path / "c.json"

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -685,6 +687,14 @@ class TestConfigValidation:
         # and would take True as seed 1.
         with pytest.raises(ValueError, match="seed must be an integer"):
             GAConfig(seed=seed)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32])
+    def test_numpy_integers_stored_as_ints(self, kind):
+        names = ("population_size", "generations", "n_triclusters", "seed")
+        config = GAConfig(**{name: kind(3) for name in names})
+        assert config == GAConfig(**{name: 3 for name in names})
+        assert all(type(getattr(config, name)) is int for name in names)
+        json.dumps(dataclasses.asdict(config))  # the manifest's config
 
     def test_delta_nonnegative(self):
         GAConfig(delta=0.0)  # zero is legal: empty-archive threshold floor

@@ -1,7 +1,7 @@
 import csv
+import hashlib
 import io
 import json
-import sys
 import tempfile
 import tracemalloc
 from itertools import product
@@ -30,7 +30,7 @@ from trievolve import (
     tensor_io,
 )
 
-from conftest import make_tensor
+from conftest import make_tensor, pipe_path
 
 
 def write_csv(path, rows, header="gene,condition,time,value"):
@@ -538,8 +538,34 @@ class TestSplitPath:
         got, csv_rows = csv_rows_read(path, chunk_rows)
         assert got == _load_outcome(naive.load_dataset_naive, path)
         assert got[3] == tuple(genes) and got[4] == ("x\x1c",)
-        if sys.version_info >= (3, 11):  # csv rejects NUL before 3.11
-            assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+
+
+class TestPipeInput:
+    """An input that cannot be read twice, such as a pipe, names a faulty
+    row by its number among the data rows: the file is not re-read for a
+    line number."""
+
+    def test_clean_pipe_loads(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a,x,1,0.5", "a,x,2,", "b,x,1,0.7"])
+        with pipe_path(path.read_text()) as fd_path:
+            got = _load_outcome(load_dataset, fd_path)
+        assert got == _load_outcome(load_dataset, path)
+
+    @pytest.mark.parametrize("rows, detail", [
+        (["a,x,1,0.5", "a,x,2,abc", "a,x,3,0.7"], "data row 2: bad value 'abc'"),
+        (
+            ["a,x,1,0.5", "a,x,2,0.6", "a,x,1,0.7"],
+            "data row 3: duplicate entry for gene='a' condition='x' time='1'",
+        ),
+        (['"a\nb",x,1,0.5', "a,x,2,0.6", "a,x,2,nan"], "data row 3: bad value 'nan'"),
+    ])
+    def test_fault_named_by_data_row(self, tmp_path, rows, detail):
+        text = write_csv(tmp_path / "d.csv", rows).read_text()
+        with pipe_path(text) as fd_path:
+            with pytest.raises(DatasetFormatError) as err:
+                load_dataset(fd_path)
+        assert str(err.value) == f"{fd_path}: {detail}"
 
 
 class TestSplitPathGuard:
@@ -823,6 +849,26 @@ class TestGenerateSynthetic:
             if planted_msr < msr3d(tensor, coords):
                 wins += 1
         assert wins >= 48  # >= 95% of draws
+
+    # SHA-256 of the values of every spec in ``test_values_match_digest``,
+    # recorded with numpy 2.4 on x86-64.  It pins the RNG draw order and the
+    # order in which each plant's base and per-axis terms are combined.
+    VALUES_DIGEST = "5008d9dc1a232861fb65979b8ea7d47eb3e5889ba623dbbdf5988d7ad6e253b2"
+
+    def test_values_match_digest(self):
+        planted = (
+            (TriclusterCoords(tuple(range(8)), (0, 2, 3), (1, 2, 4, 6)), "constant"),
+            (TriclusterCoords(tuple(range(8, 20)), (1, 2, 4), (0, 3, 5, 6, 7)), "additive"),
+            (TriclusterCoords((20, 22, 25, 27), (0, 5), (2, 3, 7)), "multiplicative"),
+        )
+        h = hashlib.sha256()
+        for background, noise, seed in product(("uniform01", "gaussian"), (0.0, 0.05), (0, 7)):
+            spec = SyntheticSpec(
+                dims=(30, 6, 8), planted=planted, noise_sigma=noise,
+                background=background, seed=seed,
+            )
+            h.update(generate_synthetic(spec)[0].values.tobytes())
+        assert h.hexdigest() == self.VALUES_DIGEST
 
     def test_deterministic(self):
         coords = TriclusterCoords((0, 1), (0, 1), (0, 1))
