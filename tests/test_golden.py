@@ -12,11 +12,20 @@ the digest; the scores still agree with ``naive.py`` there.
 
 import hashlib
 import json
+from dataclasses import astuple
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from trievolve import SyntheticSpec, TriclusterCoords, export_csv, generate_synthetic
+from trievolve import (
+    Archive, QualityWeights, SyntheticSpec, TriclusterCoords, export_csv, fitness,
+    generate_synthetic,
+)
 from trievolve.cli import main
+from trievolve.quality import SLOPE_MODES
+
+from conftest import random_coords
 
 # SHA-256 of triclusters.json followed by trace_1.csv and trace_2.csv.
 GOLDEN = {
@@ -40,6 +49,12 @@ GOLDEN_COORDS = {
 # digests cannot see a change to the CSV bytes that loads to the same floats
 # (quoting, line endings, another float spelling); this can.
 GOLDEN_CSV = "5d0abb2db056bb87aeaa24d40c33c52837ef74111a590d426a2083ea3e7ca2e8"
+
+# SHA-256 of the float64 bytes of every breakdown ``_fitness_corpus`` scores.
+# The run digests see a score only through the search it steers; this pins
+# the bits of msr, lsl, weights, distinction and f directly, so a kernel
+# rewrite must reproduce each of them.
+GOLDEN_FITNESS = "cbc63d7598cb6535367e15701ab930da2ace55117cb48195b94d7866ad89c984"
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +99,36 @@ def test_run_archive_matches_golden_coords(golden_run):
     entries = json.loads((out / "triclusters.json").read_text())["entries"]
     got = [[e["genes"], e["conditions"], e["times"]] for e in entries]
     assert got == GOLDEN_COORDS[mode]
+
+
+def _fitness_corpus():
+    """(values, coords, archive, mode) of a seeded corpus: 200 candidates on
+    each of a 200x4x14 tensor, a tensor with 2-wide axes and the first
+    tensor offset by 1e6, each scored in both slope modes against an empty
+    archive, a 3-entry Archive and a namespace of coverage sets."""
+    rng = np.random.default_rng(18)
+    base = rng.normal(size=(200, 4, 14))
+    for values in (base, rng.normal(size=(9, 2, 2)), base + 1e6):
+        archive, namespace = Archive(), SimpleNamespace(
+            covered_genes=set(), covered_conditions=set(), covered_times=set()
+        )
+        for _ in range(3):
+            archive.add(random_coords(rng, values.shape), None)
+            coords = random_coords(rng, values.shape)
+            namespace.covered_genes.update(coords.genes)
+            namespace.covered_conditions.update(coords.conditions)
+            namespace.covered_times.update(coords.times)
+        for _ in range(200):
+            coords = random_coords(rng, values.shape)
+            for mode in SLOPE_MODES:
+                for covered in (None, archive, namespace):
+                    yield values, coords, covered, mode
+
+
+def test_fitness_bits_match_golden_digest():
+    h = hashlib.sha256()
+    weights = QualityWeights()
+    for values, coords, archive, mode in _fitness_corpus():
+        breakdown = fitness(values, coords, weights, archive, mode)
+        h.update(np.array(astuple(breakdown), dtype=np.float64).tobytes())
+    assert h.hexdigest() == GOLDEN_FITNESS
