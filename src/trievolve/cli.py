@@ -5,7 +5,8 @@ Subcommands:
 * ``run``      -- full mining run on a CSV dataset; once every run's best
                   has scored finite, writes triclusters.json, then
                   trace_1.csv ... trace_N.csv (one per run), then
-                  manifest.json.
+                  manifest.json, whose ``input_sha256`` is null for an
+                  input that is not a regular file, such as a pipe.
 * ``generate`` -- build a synthetic tensor with planted regions from a JSON
                   spec; writes the tensor CSV plus ground_truth.json.
 * ``evaluate`` -- score user-supplied coordinates against a dataset and print
@@ -313,8 +314,11 @@ def cmd_run(args) -> int:
             "evaluations": trace.evaluations,
             "memo_hits": trace.memo_hits,
         })
-    with open(args.input, "rb") as fh:
-        input_sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
+    # A pipe or FIFO was drained by the load and cannot be read again.
+    input_sha256 = None
+    if os.path.isfile(args.input):
+        with open(args.input, "rb") as fh:
+            input_sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
     manifest = {
         "tool_version": __version__,
         "input": str(args.input),

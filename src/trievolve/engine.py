@@ -71,13 +71,13 @@ def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> np.ndarray:
 
 def decode(bits: np.ndarray, dims: tuple[int, int, int]) -> TriclusterCoords:
     """Set-bit indices per segment; requires a repaired candidate."""
-    indices = [tuple(np.flatnonzero(seg).tolist()) for seg in _segments(bits, dims)]
+    indices = [tuple(seg.nonzero()[0].tolist()) for seg in _segments(bits, dims)]
     if min(map(len, indices)) < 2:
         raise ValueError(
             f"chromosome has segment sizes {tuple(map(len, indices))}; "
             "repair must run first"
         )
-    # flatnonzero yields sorted, unique, non-negative ints.
+    # nonzero of a 1-D row yields sorted, unique, non-negative ints.
     return TriclusterCoords._trusted(*indices)
 
 

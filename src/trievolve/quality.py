@@ -19,9 +19,12 @@ minimized.
 
 ``fitness`` gathers a candidate once, sums the block over times, conditions
 and genes, and passes it to ``msr3d`` and ``lsl`` in place of ``(tensor,
-coords)``.  The residual is the block minus one term per pair of axes, folded
-from the three pairwise means; each LSL slope is one pairwise sum's product
-with the centred x positions.  Given ``(tensor, coords)``, ``msr3d``, ``lsl``,
+coords)``.  The gather reads the tensor as one row per gene: it takes the
+selected rows, then, when a condition or time is left out, the selected
+(condition, time) columns of those rows in one more take.  The residual is
+the block minus one term per pair of axes, folded from the three pairwise
+means; each LSL slope is one pairwise sum's product with the centred x
+positions.  Given ``(tensor, coords)``, ``msr3d``, ``lsl``,
 ``view_slopes`` and ``residual`` gather their own block.
 
 All functions are pure and operate on immutable inputs, so evaluating many
@@ -145,20 +148,20 @@ def _check_bounds(values: np.ndarray, coords: TriclusterCoords) -> None:
 
 def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
     _check_bounds(values, coords)
-    # Chained takes build the same C-contiguous block as
-    # ``values[np.ix_(genes, conditions, times)]`` in about half the time.
-    # The block must stay C-contiguous: its einsum sums round differently
-    # over another memory layout.  Coords are sorted and unique, so a subset
-    # as long as its axis is the whole axis and its take is skipped.  The
-    # gene take always runs and copies, so ``_residual`` never writes into
-    # ``values``.
-    _, n_c, n_t = values.shape
-    block = values.take(coords.genes, 0)
-    if len(coords.conditions) < n_c:
-        block = block.take(coords.conditions, 1)
-    if len(coords.times) < n_t:
-        block = block.take(coords.times, 2)
-    return block
+    # The same C-contiguous block as ``values[np.ix_(genes, conditions,
+    # times)]``, from the gene rows of a (gene, condition * time) matrix and
+    # one take of the ``c * n_t + t`` column offsets.  The block must stay
+    # C-contiguous: its einsum sums round differently over another memory
+    # layout.  Coords are sorted and unique, so when both subsets are as
+    # long as their axes every column is kept and the column take is
+    # skipped.  The gene take always runs and copies, so ``_residual`` never
+    # writes into ``values``.
+    n_g, n_c, n_t = values.shape
+    conditions, times = coords.conditions, coords.times
+    block = values.reshape(n_g, n_c * n_t).take(coords.genes, 0)
+    if len(conditions) < n_c or len(times) < n_t:
+        block = block.take(np.add.outer(np.multiply(conditions, n_t), times).ravel(), 1)
+    return block.reshape(len(coords.genes), len(conditions), len(times))
 
 
 class _Block(NamedTuple):
@@ -188,12 +191,14 @@ def _residual(b: _Block) -> np.ndarray:
     # are folded into the three pairwise means, one subtraction per pair.
     n_g, n_c, n_t = b.sub.shape
     m_gc, m_gt, m_ct = b.s_gc / n_t, b.s_gt / n_c, b.s_ct / n_g
+    # The ufuncs are called directly: ``ndarray.sum`` and ``-=`` wrap the
+    # same calls in more Python.
     m_g = np.einsum("gc->g", m_gc) / n_c
-    m_c, m_t = m_ct.sum(axis=1) / n_t, m_ct.sum(axis=0) / n_c
+    m_c, m_t = np.add.reduce(m_ct, 1) / n_t, np.add.reduce(m_ct, 0) / n_c
     r = b.sub
-    r -= (m_gc - m_g[:, None])[:, :, None]
-    r -= (m_gt - m_t)[:, None, :]
-    r -= m_ct - m_c[:, None] + m_t.sum() / n_t
+    np.subtract(r, (m_gc - m_g[:, None])[:, :, None], out=r)
+    np.subtract(r, (m_gt - m_t)[:, None, :], out=r)
+    np.subtract(r, m_ct - m_c[:, None] + np.add.reduce(m_t) / n_t, out=r)
     return r
 
 
@@ -221,27 +226,34 @@ def msr3d(tensor, coords: TriclusterCoords | None = None) -> float:
     return float(np.einsum("gct,gct->", r, r)) / r.size
 
 
-def _slopes(b: _Block, axis: str, mode: str) -> np.ndarray:
-    # A view is a (line, x position) matrix of y summed over its replication
-    # axis.  With x centred, (n*sum_xy - sum_x*sum_y) / (n*sum_xx - sum_x**2)
-    # is ys @ xc / (replication * xc @ xc); paper-literal drops replication.
+def _check_mode(mode: str) -> None:
     if mode not in SLOPE_MODES:
         raise ValueError(f"unknown slope mode {mode!r}; expected one of {SLOPE_MODES}")
+
+
+def _view(b: _Block, axis: str, ols: bool) -> tuple[np.ndarray, int]:
+    """A view's (line, x position) matrix of y summed over its replication
+    axis, and the length of that axis, or 1 for paper-literal slopes."""
     n_g, n_c, n_t = b.sub.shape
     if axis == VIEW_TIME:
-        ys, replication, x_name = b.s_gt.T, n_c, "genes"
+        ys, replication = b.s_gt.T, n_c
     elif axis == VIEW_CONDITION:
-        ys, replication, x_name = b.s_gc.T, n_t, "genes"
+        ys, replication = b.s_gc.T, n_t
     elif axis == VIEW_GENE:
-        ys, replication, x_name = b.s_ct, n_g, "times"
+        ys, replication = b.s_ct, n_g
     else:
         raise ValueError(f"unknown view {axis!r}; expected one of {VIEWS}")
-    base_n = ys.shape[1]
-    if base_n < 2:
-        raise SizePreconditionError(f"{axis} needs at least 2 {x_name}, got {base_n}")
-    xc = np.arange(base_n, dtype=np.float64) - (base_n - 1) / 2
-    scale = (replication if mode == MODE_OLS else 1) * float(xc @ xc)
-    return np.einsum("lx,x->l", ys, xc) / scale
+    return ys, replication if ols else 1
+
+
+def _slopes(ys: np.ndarray, replication: int) -> np.ndarray:
+    # With x centred, (n*sum_xy - sum_x*sum_y) / (n*sum_xx - sum_x**2) is
+    # ys @ xc / (replication * xc @ xc); paper-literal drops replication.
+    # xc holds exact halves or integers, so xc @ xc is the exact sum of
+    # squares n * (n*n - 1) / 12, which that closed form gives bit for bit.
+    n = ys.shape[1]
+    xc = np.arange(-(n - 1) / 2, n / 2)
+    return np.einsum("lx,x->l", ys, xc) / (replication * (n * (n * n - 1) / 12))
 
 
 def view_slopes(
@@ -269,7 +281,15 @@ def view_slopes(
     without the replication factor of the second summation index; the two
     modes differ by exactly that factor.
     """
-    return _slopes(_block(tensor, coords), axis, mode)
+    b = _block(tensor, coords)
+    _check_mode(mode)
+    ys, replication = _view(b, axis, mode == MODE_OLS)
+    if ys.shape[1] < 2:
+        x_name = "times" if axis == VIEW_GENE else "genes"
+        raise SizePreconditionError(
+            f"{axis} needs at least 2 {x_name}, got {ys.shape[1]}"
+        )
+    return _slopes(ys, replication)
 
 
 def _mean_pairwise_distance(s: np.ndarray) -> float:
@@ -294,7 +314,11 @@ def lsl(tensor, coords: TriclusterCoords | None = None, mode: str = MODE_OLS) ->
         raise SizePreconditionError(
             f"lsl needs >= 2 selected indices per axis, got {b.sub.shape}"
         )
-    t_r, c_r, g_r = (_mean_pairwise_distance(_slopes(b, v, mode)) for v in VIEWS)
+    _check_mode(mode)
+    ols = mode == MODE_OLS
+    t_r, c_r, g_r = (
+        _mean_pairwise_distance(_slopes(*_view(b, v, ols))) for v in VIEWS
+    )
     return (t_r + c_r + g_r) / 3.0
 
 
@@ -339,8 +363,10 @@ def distinction_term(coords: TriclusterCoords, archive, w: QualityWeights) -> fl
     covered = (frozenset(),) * 3 if archive is None else (
         archive.covered_genes, archive.covered_conditions, archive.covered_times
     )
+    # idx is duplicate-free, so its novel count is its length less its
+    # covered count.
     return sum(
-        len(set(idx).difference(cov)) / len(idx) * wd
+        (len(idx) - len(cov.intersection(idx))) / len(idx) * wd
         for idx, cov, wd in zip(axes, covered, (w.wd_g, w.wd_c, w.wd_t))
     )
 

@@ -110,6 +110,27 @@ def test_traced_run_breeds_one_block_per_generation(tmp_path):
         assert tracer.calls[op] == runs * (generations - 1), op
 
 
+def test_traced_run_scores_and_decodes_once_per_distinct_candidate(tmp_path):
+    # The tracer's fitness and decode spans are per candidate: each memo
+    # miss is decoded and scored once, and each covering run decodes its
+    # best once more.  A batch scorer that bypassed these hooks would make
+    # the per-layer metrics read zero work.
+    tensor, _ = generate_synthetic(SyntheticSpec(dims=(8, 3, 4), seed=5))
+    csv = tmp_path / "tensor.csv"
+    export_csv(tensor, csv)
+    out, runs = tmp_path / "run", 3
+    argv = ["run", "--input", str(csv), "--out", str(out), "--pop", "5",
+            "--generations", "4", "--n-triclusters", str(runs), "--seed", "1"]
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        assert tracer.root(cli.main, argv) in (0, 4)
+    manifest = json.loads((out / "manifest.json").read_text())
+    evaluations = sum(r["evaluations"] for r in manifest["runs"])
+    assert len(manifest["runs"]) == runs and evaluations > runs
+    assert tracer.calls["quality.fitness"] == evaluations
+    assert tracer.calls["engine.decode"] == evaluations + runs
+
+
 @pytest.mark.parametrize("delta, code", [(None, 0), (0.0, 4)])
 def test_traced_run_counts_the_manifests_runs(tmp_path, delta, code):
     # The tracer reads the accepted count as len(run_triea(...)) and the

@@ -111,6 +111,19 @@ class TestRun:
             "mean_msr": fmean([e["msr"] for e in entries]),
         }
 
+    def test_pipe_input_digest_null(self, dataset_csv, tmp_path):
+        # The load drains the pipe; hashing it again would read zero bytes.
+        out = tmp_path / "out"
+        with pipe_path(dataset_csv.read_text(encoding="utf-8")) as fd_path:
+            code = main([
+                "run", "--input", fd_path, "--out", str(out),
+                "--seed", "3", "--generations", "4", "--n-triclusters", "3",
+            ])
+        assert code == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["input"] == fd_path
+        assert manifest["input_sha256"] is None
+
     def test_manifest_means_null_for_empty_archive(self, dataset_csv, tmp_path):
         out = tmp_path / "out"
         code = main([

@@ -168,6 +168,25 @@ class TestSubtensor:
         with pytest.raises(IndexError):
             _subtensor(np.zeros((3, 3, 3)), TriclusterCoords((0, 1), (0, 3), (0,)))
 
+    @pytest.mark.parametrize("layout", ["transposed", "fortran"])
+    def test_non_c_contiguous_values(self, rng, layout):
+        # The gather reads values as a (gene, condition * time) matrix; a
+        # bare array in another layout must give the same block, still
+        # C-contiguous and still a copy.
+        shape = (7, 4, 5)
+        if layout == "transposed":
+            values = rng.random(shape[::-1]).T
+        else:
+            values = np.asfortranarray(rng.random(shape))
+        assert not values.flags.c_contiguous
+        for _ in range(30):
+            coords = random_coords(rng, shape, min_size=1)
+            got = _subtensor(values, coords)
+            want = values[np.ix_(coords.genes, coords.conditions, coords.times)]
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert not np.shares_memory(got, values)
+
     # Axes whose coords select every index, so _subtensor skips their take.
     @pytest.mark.parametrize("full", [
         ("conditions",), ("times",), ("conditions", "times"),
@@ -288,6 +307,15 @@ class TestViewSlopes:
         thin_times = TriclusterCoords((0, 1), (0, 1), (2,))
         with pytest.raises(SizePreconditionError):
             view_slopes(values, thin_times, "gene-view")
+
+    def test_centred_positions_and_closed_form_sum_of_squares(self):
+        # _slopes builds the centred x positions with one arange and takes
+        # xc @ xc from its closed form; both must equal the direct forms
+        # bit for bit at every line length.
+        for n in range(2, 5001):
+            xc = np.arange(-(n - 1) / 2, n / 2)
+            assert xc.tobytes() == (np.arange(n) - (n - 1) / 2).tobytes(), n
+            assert n * (n * n - 1) / 12 == float(xc @ xc), n
 
     def test_unknown_axis_and_mode(self):
         coords = TriclusterCoords((0, 1), (0, 1), (0, 1))
