@@ -20,7 +20,7 @@ Exit codes:
   JSON file (``--coords``, ``--archive``, ``--spec``; JSON true/false and
   floats are not integers), undersized coordinates, an ``--out`` that cannot
   be made a directory, or an output file in it that cannot be written;
-* 3 a missing, unreadable, undecodable or malformed ``--input`` CSV,
+* 3 a missing, unreadable, undecodable, malformed or undersized ``--input`` CSV,
   out-of-bounds indices or a non-finite score (values too large to score;
   JSON has no infinity);
 * 4 empty archive (outputs still written, with a warning);
@@ -44,7 +44,7 @@ from pathlib import Path
 from statistics import fmean
 
 from . import __version__
-from .engine import Archive, GAConfig, GenerationTrace, run_triea
+from .engine import Archive, GAConfig, GenerationTrace, _check_dims, run_triea
 from .quality import (
     SLOPE_MODES,
     FitnessBreakdown,
@@ -241,13 +241,13 @@ def _load(path) -> ExpressionTensor:
 
 def _read_json(path, parse, what: str):
     """``parse`` of the JSON document in ``path``; exit 2 when the file is
-    missing, unreadable or malformed, or ``parse`` rejects the document."""
+    missing, unreadable or malformed, or ``parse`` rejects it (IndexError too)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
     except OSError as exc:
         raise _Exit(EXIT_USAGE, f"cannot read {path}: {_reason(exc)}")
-    except (KeyError, TypeError, ValueError) as exc:  # decoding errors included
+    except (LookupError, TypeError, ValueError) as exc:  # decoding errors included
         raise _Exit(EXIT_USAGE, f"invalid {what}: {path}: {exc}")
 
 
@@ -286,13 +286,14 @@ def cmd_run(args) -> int:
     if not args.no_normalize:
         tensor = normalize_minmax(tensor)
     tensor = impute_missing(tensor, seed)
+    try:
+        _check_dims(tensor.shape)
+    except ValueError as exc:
+        raise _Exit(EXIT_INPUT, str(exc))
 
     out_dir = _out_dir(args.out)
     started = time.monotonic()
-    try:
-        archive = run_triea(tensor, config)
-    except ValueError as exc:
-        raise _Exit(EXIT_INPUT, str(exc))
+    archive = run_triea(tensor, config)
     duration = time.monotonic() - started
     for index, trace in enumerate(archive.runs, 1):
         bad = _non_finite_score(trace.records[-1].best)
@@ -365,9 +366,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_archive(payload, values) -> Archive:
+def _parse_archive(payload, shape) -> Archive:
     """Archive of a triclusters.json payload; entries need only their
-    coordinates.  Exit 3 for an entry that does not fit in ``values``;
+    coordinates.  Exit 3 for an entry that does not fit in ``shape``;
     KeyError, TypeError or ValueError for a malformed payload."""
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError('expected a JSON object with an "entries" list')
@@ -375,7 +376,7 @@ def _parse_archive(payload, values) -> Archive:
     for entry in payload["entries"]:
         coords = TriclusterCoords.from_dict(entry)
         try:
-            _check_bounds(values, coords)
+            _check_bounds(shape, coords)
         except IndexError as exc:
             raise _Exit(EXIT_INPUT, f"archive entry: {exc}")
         archive.add(coords, None)
@@ -395,7 +396,7 @@ def cmd_evaluate(args) -> int:
     if args.archive is not None:
         archive = _read_json(
             args.archive,
-            lambda payload: _parse_archive(payload, tensor.values),
+            lambda payload: _parse_archive(payload, tensor.shape),
             "archive file",
         )
 

@@ -27,9 +27,6 @@ and scored once and later copies reuse its breakdown.  The memo dies with
 the run, because the next run sees a grown archive.
 """
 
-import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from statistics import fmean
 
@@ -42,6 +39,9 @@ from .quality import (
     QualityWeights,
     TriclusterCoords,
     fitness,
+    _check_bounds,
+    _integer,
+    _nonnegative,
     _values,
 )
 
@@ -59,10 +59,8 @@ def _segments(bits: np.ndarray, dims: tuple[int, int, int]):
 
 def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> np.ndarray:
     """Candidate with exactly the coords' bits set."""
-    x, y, z = dims
-    if coords.genes[-1] >= x or coords.conditions[-1] >= y or coords.times[-1] >= z:
-        raise ValueError(f"coords {coords} do not fit in dims {dims}")
-    bits = np.zeros(x + y + z, dtype=bool)
+    _check_bounds(dims, coords)
+    bits = np.zeros(sum(dims), dtype=bool)
     axes = (coords.genes, coords.conditions, coords.times)
     for seg, idx in zip(_segments(bits, dims), axes):
         seg[list(idx)] = True
@@ -96,23 +94,18 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy would take True as 1 and fail on a float only mid-run.
         for name in ("population_size", "generations", "n_triclusters", "seed"):
-            value = getattr(self, name)
-            # numpy would take True as 1 and fail on a float only mid-run;
-            # a numpy integer is kept as a plain int, which JSON can write.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.population_size < 1 or self.generations < 1 or self.n_triclusters < 1:
             raise ValueError("population_size, generations, n_triclusters must be >= 1")
         for name in ("p_crossover", "p_mutation"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
+            p = _nonnegative(getattr(self, name), name)
+            if p > 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        # delta = 0 is allowed: it legitimately yields an empty archive.  An
-        # infinite one could not be written to the JSON manifest.
-        if not 0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+            object.__setattr__(self, name, p)
+        # delta = 0 is allowed: it legitimately yields an empty archive.
+        object.__setattr__(self, "delta", _nonnegative(self.delta, "delta"))
         if self.slope_mode not in SLOPE_MODES:
             raise ValueError(f"slope_mode must be one of {SLOPE_MODES}")
         if self.seed < 0:
@@ -302,6 +295,12 @@ def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
     return out
 
 
+def _check_dims(dims: tuple[int, int, int]) -> None:
+    """ValueError unless every axis holds the 2 indices a tricluster needs."""
+    if min(dims) < 2:
+        raise ValueError(f"every tensor axis needs length >= 2, got {dims}")
+
+
 def _score(values, rows, config: GAConfig, archive, memo) -> list[FitnessBreakdown]:
     """Breakdowns of ``rows`` in row order; ``memo`` maps a candidate's bits
     to its breakdown for one run, so only unseen rows are decoded and scored."""
@@ -341,8 +340,7 @@ def evolve_one_tricluster(
     """
     values = _values(tensor)
     dims = values.shape
-    if min(dims) < 2:
-        raise ValueError(f"every tensor axis needs length >= 2, got {dims}")
+    _check_dims(dims)
     if rng is None:
         rng = np.random.default_rng(config.seed)
 

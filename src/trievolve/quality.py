@@ -35,7 +35,7 @@ a bare 3D ``numpy`` array.
 
 import dataclasses
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,12 +55,35 @@ class SizePreconditionError(ValueError):
     """Coordinates too small for the requested measure (< 2 on some axis)."""
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int; TypeError for a bool or a non-integer like 4.5."""
+    if type(value) is int:  # skips the far slower abstract-class check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _nonnegative(value, name: str) -> float:
+    """``value`` as a plain float; TypeError for a bool or a non-number,
+    ValueError unless it is finite and >= 0 (JSON has no infinity)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not 0 <= number < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return number
+
+
 @dataclass(frozen=True)
 class TriclusterCoords:
     """Three sorted, duplicate-free index subsets addressing a subtensor.
 
-    Indices must be integers (``operator.index``): a float or a string is a
-    TypeError, not silently truncated or parsed.
+    Indices must be integers: a bool (``np.True_`` included), a float or a
+    string is a TypeError, not taken as 0 or 1, truncated or parsed.
     """
 
     genes: tuple[int, ...]
@@ -69,8 +92,7 @@ class TriclusterCoords:
 
     def __post_init__(self):
         for name in ("genes", "conditions", "times"):
-            raw = getattr(self, name)
-            idx = tuple(sorted({operator.index(i) for i in raw}))
+            idx = tuple(sorted({_integer(i, name) for i in getattr(self, name)}))
             if not idx:
                 raise ValueError(f"{name} must be non-empty")
             if idx[0] < 0:
@@ -108,11 +130,8 @@ class TriclusterCoords:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TriclusterCoords":
-        """Coords of a parsed JSON object; JSON true/false are not indices."""
-        axes = (tuple(d["genes"]), tuple(d["conditions"]), tuple(d["times"]))
-        if any(isinstance(i, bool) for axis in axes for i in axis):
-            raise TypeError("indices must be integers, not true/false")
-        return cls(*axes)
+        """Coords of a parsed JSON object."""
+        return cls(d["genes"], d["conditions"], d["times"])
 
 
 def jaccard_cells(a: TriclusterCoords, b: TriclusterCoords) -> float:
@@ -137,9 +156,10 @@ def _values(tensor) -> np.ndarray:
     return vals
 
 
-def _check_bounds(values: np.ndarray, coords: TriclusterCoords) -> None:
+def _check_bounds(shape, coords: TriclusterCoords) -> None:
+    """IndexError naming the first axis of ``shape`` that ``coords`` overrun."""
     axes = (coords.genes, coords.conditions, coords.times)
-    for name, idx, limit in zip(("gene", "condition", "time"), axes, values.shape):
+    for name, idx, limit in zip(("gene", "condition", "time"), axes, shape):
         if idx[-1] >= limit:
             raise IndexError(
                 f"{name} index {idx[-1]} out of bounds for axis of length {limit}"
@@ -147,7 +167,7 @@ def _check_bounds(values: np.ndarray, coords: TriclusterCoords) -> None:
 
 
 def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
-    _check_bounds(values, coords)
+    _check_bounds(values.shape, coords)
     # The same C-contiguous block as ``values[np.ix_(genes, conditions,
     # times)]``, from the gene rows of a (gene, condition * time) matrix and
     # one take of the ``c * n_t + t`` column offsets.  The block must stay
@@ -335,9 +355,7 @@ class QualityWeights:
 
     def __post_init__(self):
         for name in ("w_g", "w_c", "w_t", "wd_g", "wd_c", "wd_t"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
 
 
 def weights_term(coords: TriclusterCoords, w: QualityWeights) -> float:

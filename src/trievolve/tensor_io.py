@@ -18,8 +18,6 @@ immutable after construction, so they are safe to share across threads.
 import csv
 import io
 import math
-import numbers
-import operator
 import os
 from collections import deque
 from dataclasses import dataclass, replace
@@ -28,6 +26,7 @@ from itertools import chain, count, islice, product
 import numpy as np
 
 from .quality import TriclusterCoords, jaccard_cells
+from .quality import _check_bounds, _integer, _nonnegative
 
 CSV_HEADER = ("gene", "condition", "time", "value")
 
@@ -513,13 +512,6 @@ def impute_missing(tensor: ExpressionTensor, seed: int) -> ExpressionTensor:
     return replace(tensor, values=values)
 
 
-def _integer(value, name: str) -> int:
-    # JSON true/false and floats such as 4.5 are not integers here.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name}: expected an integer, got {value!r}")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic tensor with planted coherent regions.
@@ -549,18 +541,8 @@ class SyntheticSpec:
         for coords, pattern in planted:
             if pattern not in PATTERNS:
                 raise ValueError(f"unknown pattern {pattern!r}; expected {PATTERNS}")
-            if (
-                coords.genes[-1] >= dims[0]
-                or coords.conditions[-1] >= dims[1]
-                or coords.times[-1] >= dims[2]
-            ):
-                raise ValueError(f"planted coords {coords} do not fit in dims {dims}")
-        if isinstance(self.noise_sigma, bool):
-            raise TypeError(f"noise_sigma: expected a number, got {self.noise_sigma!r}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
-            )
+            _check_bounds(dims, coords)
+        noise_sigma = _nonnegative(self.noise_sigma, "noise_sigma")
         if self.background not in BACKGROUNDS:
             raise ValueError(
                 f"unknown background {self.background!r}; expected {BACKGROUNDS}"
@@ -570,13 +552,13 @@ class SyntheticSpec:
             raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "planted", planted)
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        object.__setattr__(self, "noise_sigma", noise_sigma)
         object.__setattr__(self, "seed", seed)
 
     @classmethod
     def from_dict(cls, raw) -> "SyntheticSpec":
         """Spec of a parsed JSON document; KeyError, TypeError or ValueError
-        for a malformed one."""
+        for a malformed one, IndexError for a plant outside its dims."""
         if not isinstance(raw, dict):
             raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
         planted = tuple(

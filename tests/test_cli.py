@@ -175,6 +175,15 @@ class TestRun:
         bad.write_text("gene,condition,time,value\na,x,1,0.5\na,x,2,nan\n")
         assert main(["run", "--input", str(bad), "--out", str(tmp_path / "o")]) == 3
 
+    def test_undersized_tensor_exit_3_before_out(self, tmp_path, capsys):
+        # One condition cannot hold a tricluster; --out is never made.
+        path = tmp_path / "one_condition.csv"
+        export_csv(make_tensor(np.random.default_rng(0).random((4, 1, 3))), path)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(path), "--out", str(out)]) == 3
+        assert "every tensor axis needs length >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flags_exit_2(self, dataset_csv, tmp_path):
         code = main([
             "run", "--input", str(dataset_csv), "--out", str(tmp_path / "o"),
@@ -567,7 +576,10 @@ FAILURES = [
     ("spec-bool-seed", 2, lambda f: f.generate(spec=f.spec(seed=True))),
     ("spec-float-dims", 2, lambda f: f.generate(spec=f.spec(dims=[4.5, 3, 3]))),
     ("spec-bool-noise", 2, lambda f: f.generate(spec=f.spec(noise_sigma=True))),
+    ("spec-huge-noise", 2, lambda f: f.generate(spec=f.spec(noise_sigma=10**400))),
     ("spec-huge-dims", 2, lambda f: f.generate(spec=f.spec(dims=[10**20, 3, 3]))),
+    ("spec-plant-out-of-dims", 2, lambda f: f.generate(spec=f.spec(
+        planted=[{**COORDS, "genes": [0, 9], "pattern": "constant"}]))),
     ("coords-bool-index", 2, lambda f: f.evaluate(
         coords=f.json("c.json", {**COORDS, "times": [0, True]}))),
     ("archive-bool-index", 2, lambda f: f.evaluate(

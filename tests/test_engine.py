@@ -76,7 +76,7 @@ class TestDecodeEncode:
             assert decode(encode(coords, dims), dims) == coords
 
     def test_encode_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             encode(TriclusterCoords((0, 9), (0, 1), (0, 1)), (5, 4, 3))
 
     @settings(max_examples=200, deadline=None)
@@ -669,7 +669,7 @@ class TestConfigValidation:
     def test_counts_must_be_integers(self, name, value):
         # numpy would reject a float only once the run starts, and would
         # take True as 1.
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(TypeError, match=f"{name}: expected an integer"):
             GAConfig(**{name: value})
 
     def test_slope_mode(self):
@@ -685,16 +685,43 @@ class TestConfigValidation:
     def test_seed_must_be_an_integer(self, seed):
         # numpy would reject a float or string only once the run starts,
         # and would take True as seed 1.
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        with pytest.raises(TypeError, match="seed: expected an integer"):
             GAConfig(seed=seed)
 
     @pytest.mark.parametrize("kind", [np.int64, np.uint32])
     def test_numpy_integers_stored_as_ints(self, kind):
         names = ("population_size", "generations", "n_triclusters", "seed")
-        config = GAConfig(**{name: kind(3) for name in names})
-        assert config == GAConfig(**{name: 3 for name in names})
+        floats = ("p_crossover", "p_mutation", "delta")
+        weight_names = ("w_g", "w_c", "w_t", "wd_g", "wd_c", "wd_t")
+        weights = QualityWeights(**{name: np.float32(0.25) for name in weight_names})
+        config = GAConfig(
+            quality_weights=weights,
+            **{name: kind(3) for name in names},
+            **{name: np.float32(0.5) for name in floats},
+        )
+        assert config == GAConfig(
+            quality_weights=QualityWeights(*[0.25] * 6),
+            **{name: 3 for name in names},
+            **{name: 0.5 for name in floats},
+        )
         assert all(type(getattr(config, name)) is int for name in names)
+        assert all(type(getattr(config, name)) is float for name in floats)
+        assert all(type(getattr(weights, name)) is float for name in weight_names)
         json.dumps(dataclasses.asdict(config))  # the manifest's config
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: TriclusterCoords((True, 0), (0, 1), (0, 1)), id="coords"),
+        pytest.param(lambda: TriclusterCoords((0, 1), (np.True_, 0), (0, 1)),
+                     id="coords-numpy"),
+        *(pytest.param(lambda name=name: GAConfig(**{name: True}), id=name)
+          for name in ("delta", "p_crossover", "p_mutation")),
+        *(pytest.param(lambda name=name: QualityWeights(**{name: True}), id=name)
+          for name in ("w_g", "w_c", "w_t", "wd_g", "wd_c", "wd_t")),
+    ])
+    def test_bools_are_not_numbers(self, make):
+        # True would otherwise be taken as index, probability or weight 1.
+        with pytest.raises(TypeError, match="expected an? (integer|number)"):
+            make()
 
     def test_delta_nonnegative(self):
         GAConfig(delta=0.0)  # zero is legal: empty-archive threshold floor

@@ -68,7 +68,7 @@ class TestCoords:
             TriclusterCoords((-1, 2), (0, 1), (0, 1))
 
     def test_from_dict_rejects_bools(self):
-        with pytest.raises(TypeError, match="true/false"):
+        with pytest.raises(TypeError, match="expected an integer"):
             TriclusterCoords.from_dict(
                 {"genes": [0, 1], "conditions": [0, 1], "times": [0, True]}
             )

@@ -771,7 +771,7 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(dims=(4, 4, 4), background="poisson")
         big = TriclusterCoords((0, 9), (0, 1), (0, 1))
-        with pytest.raises(ValueError, match="fit"):
+        with pytest.raises(IndexError, match="out of bounds"):
             SyntheticSpec(dims=(4, 4, 4), planted=((big, "constant"),))
 
     @pytest.mark.parametrize("kwargs", [
