@@ -52,6 +52,7 @@ from .quality import (
     SizePreconditionError,
     TriclusterCoords,
     _check_bounds,
+    _integer,
     fitness,
 )
 from .tensor_io import (
@@ -59,7 +60,6 @@ from .tensor_io import (
     ExpressionTensor,
     RegionOverlapError,
     SyntheticSpec,
-    _check_gene_limit,
     export_csv,
     generate_synthetic,
     impute_missing,
@@ -104,9 +104,10 @@ def _seed(args) -> int:
             raise _Exit(
                 EXIT_USAGE, f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
             )
-    if seed < 0:
-        raise _Exit(EXIT_USAGE, f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    try:
+        return _integer(seed, source, 0)
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, str(exc))
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
@@ -276,7 +277,7 @@ def cmd_run(args) -> int:
             seed=seed,
         )
         if args.genes_limit is not None:
-            _check_gene_limit(args.genes_limit)
+            _integer(args.genes_limit, "gene limit", 2)
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, str(exc))
 

@@ -40,6 +40,7 @@ from .quality import (
     TriclusterCoords,
     fitness,
     _check_bounds,
+    _choice,
     _integer,
     _nonnegative,
     _values,
@@ -95,21 +96,17 @@ class GAConfig:
 
     def __post_init__(self):
         # numpy would take True as 1 and fail on a float only mid-run.
-        for name in ("population_size", "generations", "n_triclusters", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.population_size < 1 or self.generations < 1 or self.n_triclusters < 1:
-            raise ValueError("population_size, generations, n_triclusters must be >= 1")
+        lows = {"population_size": 1, "generations": 1, "n_triclusters": 1, "seed": 0}
+        for name, low in lows.items():
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         for name in ("p_crossover", "p_mutation"):
-            p = _nonnegative(getattr(self, name), name)
-            if p > 1:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-            object.__setattr__(self, name, p)
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), name, 1))
+        if not isinstance(self.quality_weights, QualityWeights):
+            got = self.quality_weights
+            raise TypeError(f"quality_weights: expected a QualityWeights, got {got!r}")
         # delta = 0 is allowed: it legitimately yields an empty archive.
         object.__setattr__(self, "delta", _nonnegative(self.delta, "delta"))
-        if self.slope_mode not in SLOPE_MODES:
-            raise ValueError(f"slope_mode must be one of {SLOPE_MODES}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _choice(self.slope_mode, SLOPE_MODES, "slope_mode")
 
     def accepts(self, breakdown: FitnessBreakdown) -> bool:
         """The sequential-covering guard: LSL strictly below ``delta``."""

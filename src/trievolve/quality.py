@@ -55,18 +55,21 @@ class SizePreconditionError(ValueError):
     """Coordinates too small for the requested measure (< 2 on some axis)."""
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a plain int; TypeError for a bool or a non-integer like 4.5."""
-    if type(value) is int:  # skips the far slower abstract-class check
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as a plain int; TypeError for a bool or a non-integer like
+    4.5, ValueError when it is below ``low``."""
+    if type(value) is not int:  # skips the far slower abstract-class check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name}: expected an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def _nonnegative(value, name: str) -> float:
+def _nonnegative(value, name: str, high: float = math.inf) -> float:
     """``value`` as a plain float; TypeError for a bool or a non-number,
-    ValueError unless it is finite and >= 0 (JSON has no infinity)."""
+    ValueError unless it is finite and in [0, ``high``] (JSON has no infinity)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name}: expected a number, got {value!r}")
     try:
@@ -75,7 +78,16 @@ def _nonnegative(value, name: str) -> float:
         number = math.inf
     if not 0 <= number < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if number > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
     return number
+
+
+def _choice(value, choices: tuple, name: str):
+    """``value`` itself; ValueError unless it is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,11 +104,9 @@ class TriclusterCoords:
 
     def __post_init__(self):
         for name in ("genes", "conditions", "times"):
-            idx = tuple(sorted({_integer(i, name) for i in getattr(self, name)}))
+            idx = tuple(sorted({_integer(i, name, 0) for i in getattr(self, name)}))
             if not idx:
                 raise ValueError(f"{name} must be non-empty")
-            if idx[0] < 0:
-                raise ValueError(f"{name} contains a negative index")
             object.__setattr__(self, name, idx)
 
     @classmethod
@@ -246,23 +256,17 @@ def msr3d(tensor, coords: TriclusterCoords | None = None) -> float:
     return float(np.einsum("gct,gct->", r, r)) / r.size
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in SLOPE_MODES:
-        raise ValueError(f"unknown slope mode {mode!r}; expected one of {SLOPE_MODES}")
-
-
 def _view(b: _Block, axis: str, ols: bool) -> tuple[np.ndarray, int]:
     """A view's (line, x position) matrix of y summed over its replication
-    axis, and the length of that axis, or 1 for paper-literal slopes."""
+    axis, and the length of that axis, or 1 for paper-literal slopes;
+    ``axis`` is one of ``VIEWS``."""
     n_g, n_c, n_t = b.sub.shape
     if axis == VIEW_TIME:
         ys, replication = b.s_gt.T, n_c
     elif axis == VIEW_CONDITION:
         ys, replication = b.s_gc.T, n_t
-    elif axis == VIEW_GENE:
-        ys, replication = b.s_ct, n_g
     else:
-        raise ValueError(f"unknown view {axis!r}; expected one of {VIEWS}")
+        ys, replication = b.s_ct, n_g
     return ys, replication if ols else 1
 
 
@@ -302,8 +306,8 @@ def view_slopes(
     modes differ by exactly that factor.
     """
     b = _block(tensor, coords)
-    _check_mode(mode)
-    ys, replication = _view(b, axis, mode == MODE_OLS)
+    _choice(mode, SLOPE_MODES, "slope mode")
+    ys, replication = _view(b, _choice(axis, VIEWS, "view"), mode == MODE_OLS)
     if ys.shape[1] < 2:
         x_name = "times" if axis == VIEW_GENE else "genes"
         raise SizePreconditionError(
@@ -334,8 +338,7 @@ def lsl(tensor, coords: TriclusterCoords | None = None, mode: str = MODE_OLS) ->
         raise SizePreconditionError(
             f"lsl needs >= 2 selected indices per axis, got {b.sub.shape}"
         )
-    _check_mode(mode)
-    ols = mode == MODE_OLS
+    ols = _choice(mode, SLOPE_MODES, "slope mode") == MODE_OLS
     t_r, c_r, g_r = (
         _mean_pairwise_distance(_slopes(*_view(b, v, ols))) for v in VIEWS
     )

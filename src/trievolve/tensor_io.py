@@ -26,7 +26,7 @@ from itertools import chain, count, islice, product
 import numpy as np
 
 from .quality import TriclusterCoords, jaccard_cells
-from .quality import _check_bounds, _integer, _nonnegative
+from .quality import _check_bounds, _choice, _integer, _nonnegative
 
 CSV_HEADER = ("gene", "condition", "time", "value")
 
@@ -457,16 +457,11 @@ def _csv_fields(labels) -> list[str]:
     return fields
 
 
-def _check_gene_limit(n: int) -> None:
-    """ValueError unless ``n`` is at least 2, the fewest genes a tricluster
-    can hold."""
-    if n < 2:
-        raise ValueError(f"gene limit must be >= 2, got {n}")
-
-
 def limit_genes(tensor: ExpressionTensor, n: int) -> ExpressionTensor:
-    """Keep the first ``n`` genes in file order; ``n`` must be at least 2."""
-    _check_gene_limit(n)
+    """Keep the first ``n`` genes in file order.  ``n`` must be an integer
+    (TypeError otherwise, whatever the tensor's size) of at least 2, the
+    fewest genes a tricluster can hold (ValueError)."""
+    _integer(n, "gene limit", 2)
     if n >= tensor.shape[0]:
         return tensor
     # Copies, not views, so the full arrays can be freed.
@@ -502,8 +497,11 @@ def impute_missing(tensor: ExpressionTensor, seed: int) -> ExpressionTensor:
     """Fill missing cells with seeded uniform draws in [0, 1).
 
     The mask is preserved for provenance.  Cells are filled in row-major
-    order, so the result is bit-identical for a given seed.
+    order, so the result is bit-identical for a given seed.  ``seed`` must
+    be a non-negative integer (TypeError for a bool or a float, ValueError
+    below 0), checked even when no cell is missing.
     """
+    _integer(seed, "seed", 0)
     if tensor.n_missing() == 0:
         return tensor
     rng = np.random.default_rng(seed)
@@ -529,8 +527,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(_integer(d, "dims") for d in self.dims)
-        if len(dims) != 3 or min(dims) < 1:
+        dims = tuple(_integer(d, "dims", 1) for d in self.dims)
+        if len(dims) != 3:
             raise ValueError(f"dims must be three positive sizes, got {self.dims}")
         if math.prod(dims) > _MAX_SYNTHETIC_CELLS:
             raise ValueError(
@@ -539,17 +537,11 @@ class SyntheticSpec:
             )
         planted = tuple((coords, pattern) for coords, pattern in self.planted)
         for coords, pattern in planted:
-            if pattern not in PATTERNS:
-                raise ValueError(f"unknown pattern {pattern!r}; expected {PATTERNS}")
+            _choice(pattern, PATTERNS, "pattern")
             _check_bounds(dims, coords)
         noise_sigma = _nonnegative(self.noise_sigma, "noise_sigma")
-        if self.background not in BACKGROUNDS:
-            raise ValueError(
-                f"unknown background {self.background!r}; expected {BACKGROUNDS}"
-            )
-        seed = _integer(self.seed, "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        _choice(self.background, BACKGROUNDS, "background")
+        seed = _integer(self.seed, "seed", 0)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "planted", planted)
         object.__setattr__(self, "noise_sigma", noise_sigma)

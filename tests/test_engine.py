@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from trievolve import (
     encode,
     evolve_one_tricluster,
     generate_synthetic,
+    impute_missing,
     init_population,
+    limit_genes,
+    lsl,
     mutate,
     repair,
     run_triea,
@@ -729,3 +733,53 @@ class TestConfigValidation:
             GAConfig(delta=-1.0)
         with pytest.raises(ValueError, match="finite"):
             GAConfig(delta=float("inf"))
+
+    @pytest.mark.parametrize("weights", [None, {"w_g": 1}])
+    def test_quality_weights_must_be_quality_weights(self, weights):
+        # run_triea would otherwise fail mid-run reading weights.w_g.
+        with pytest.raises(
+            TypeError, match="quality_weights: expected a QualityWeights"
+        ):
+            GAConfig(quality_weights=weights)
+
+
+_PAIR = TriclusterCoords((0, 1), (0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("make, value, error, name", [
+    *(pytest.param(lambda v, n=n: GAConfig(**{n: v}), 0, ValueError, n, id=n)
+      for n in ("population_size", "generations", "n_triclusters")),
+    pytest.param(lambda v: GAConfig(seed=v), -1, ValueError, "seed", id="seed"),
+    pytest.param(lambda v: GAConfig(p_crossover=v), 1.5, ValueError, "p_crossover",
+                 id="p_crossover"),
+    pytest.param(lambda v: GAConfig(slope_mode=v), "huber", ValueError, "slope_mode",
+                 id="slope_mode"),
+    pytest.param(lambda v: SyntheticSpec(dims=(4, v, 3)), 0, ValueError, "dims",
+                 id="spec-dim"),
+    pytest.param(lambda v: SyntheticSpec(dims=(4, 4, 4), seed=v), -1, ValueError,
+                 "seed", id="spec-seed"),
+    pytest.param(lambda v: SyntheticSpec(dims=(4, 4, 4), planted=((_PAIR, v),)),
+                 "sinusoidal", ValueError, "pattern", id="spec-pattern"),
+    pytest.param(lambda v: SyntheticSpec(dims=(4, 4, 4), background=v), "poisson",
+                 ValueError, "background", id="spec-background"),
+    pytest.param(lambda v: TriclusterCoords((v, 2), (0, 1), (0, 1)), -1, ValueError,
+                 "genes", id="coords-index"),
+    # Two genes: a limit of 2.5 must fail even where it would cut nothing.
+    pytest.param(lambda v: limit_genes(make_tensor(np.zeros((2, 2, 2))), v), 1,
+                 ValueError, "gene limit", id="limit-1"),
+    pytest.param(lambda v: limit_genes(make_tensor(np.zeros((2, 2, 2))), v), 2.5,
+                 TypeError, "gene limit", id="limit-float"),
+    # No cell is missing: the seed must be checked before the early return.
+    pytest.param(lambda v: impute_missing(make_tensor(np.zeros((2, 2, 2))), v), -1,
+                 ValueError, "seed", id="impute-negative"),
+    pytest.param(lambda v: impute_missing(make_tensor(np.zeros((2, 2, 2))), v), True,
+                 TypeError, "seed", id="impute-bool"),
+    pytest.param(lambda v: lsl(np.zeros((3, 3, 3)), _PAIR, mode=v), "x", ValueError,
+                 "slope mode", id="lsl-mode"),
+])
+def test_bounded_inputs_name_the_value(make, value, error, name):
+    # Each bound is one helper's: the message opens with the value's name
+    # ("seed must be >= 0, ...", "seed: expected an integer, ...") or, for a
+    # named choice, "unknown <name> ...".
+    with pytest.raises(error, match=rf"^(unknown )?{re.escape(name)}\b"):
+        make(value)
