@@ -744,6 +744,7 @@ class TestConfigValidation:
 
 
 _PAIR = TriclusterCoords((0, 1), (0, 1), (0, 1))
+_TWO_GENES = make_tensor(np.zeros((2, 2, 2)))  # no missing cell
 
 
 @pytest.mark.parametrize("make, value, error, name", [
@@ -765,14 +766,14 @@ _PAIR = TriclusterCoords((0, 1), (0, 1), (0, 1))
     pytest.param(lambda v: TriclusterCoords((v, 2), (0, 1), (0, 1)), -1, ValueError,
                  "genes", id="coords-index"),
     # Two genes: a limit of 2.5 must fail even where it would cut nothing.
-    pytest.param(lambda v: limit_genes(make_tensor(np.zeros((2, 2, 2))), v), 1,
+    pytest.param(lambda v: limit_genes(_TWO_GENES, v), 1,
                  ValueError, "gene limit", id="limit-1"),
-    pytest.param(lambda v: limit_genes(make_tensor(np.zeros((2, 2, 2))), v), 2.5,
+    pytest.param(lambda v: limit_genes(_TWO_GENES, v), 2.5,
                  TypeError, "gene limit", id="limit-float"),
     # No cell is missing: the seed must be checked before the early return.
-    pytest.param(lambda v: impute_missing(make_tensor(np.zeros((2, 2, 2))), v), -1,
+    pytest.param(lambda v: impute_missing(_TWO_GENES, v), -1,
                  ValueError, "seed", id="impute-negative"),
-    pytest.param(lambda v: impute_missing(make_tensor(np.zeros((2, 2, 2))), v), True,
+    pytest.param(lambda v: impute_missing(_TWO_GENES, v), True,
                  TypeError, "seed", id="impute-bool"),
     pytest.param(lambda v: lsl(np.zeros((3, 3, 3)), _PAIR, mode=v), "x", ValueError,
                  "slope mode", id="lsl-mode"),

@@ -25,7 +25,6 @@ def test_version_matches_pyproject():
 
 def test_imports_are_stdlib_declared_or_relative():
     declared = {re.match(r"[\w.-]+", dep).group() for dep in _project()["dependencies"]}
-    assert declared == {"numpy"}
     allowed = sys.stdlib_module_names | declared
     assert SOURCES
     for path in SOURCES:
