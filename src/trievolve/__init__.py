@@ -34,8 +34,6 @@ from .quality import (
     jaccard_cells,
     lsl,
     msr3d,
-    residual,
-    view_slopes,
     weights_term,
 )
 from .tensor_io import (
@@ -84,8 +82,6 @@ __all__ = [
     "mutate",
     "normalize_minmax",
     "repair",
-    "residual",
     "run_triea",
-    "view_slopes",
     "weights_term",
 ]

@@ -18,15 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quality import (
-    MODE_OLS,
-    MODE_PAPER_LITERAL,
-    VIEW_CONDITION,
-    VIEW_GENE,
-    VIEW_TIME,
-    TriclusterCoords,
-    _values,
-)
+from .quality import MODE_OLS, MODE_PAPER_LITERAL, TriclusterCoords, _values
 from .tensor_io import (
     CSV_HEADER,
     DatasetFormatError,
@@ -34,6 +26,10 @@ from .tensor_io import (
     _ragged_grid_error,
     _sorted_time_labels,
 )
+
+VIEW_TIME = "time-view"
+VIEW_CONDITION = "condition-view"
+VIEW_GENE = "gene-view"
 
 
 def _cell(values, g, c, t) -> float:

@@ -24,8 +24,8 @@ selected rows, then, when a condition or time is left out, the selected
 (condition, time) columns of those rows in one more take.  The residual is
 the block minus one term per pair of axes, folded from the three pairwise
 means; each LSL slope is one pairwise sum's product with the centred x
-positions.  Given ``(tensor, coords)``, ``msr3d``, ``lsl``,
-``view_slopes`` and ``residual`` gather their own block.
+positions.  Given ``(tensor, coords)``, ``msr3d`` and ``lsl`` gather their
+own block.
 
 All functions are pure and operate on immutable inputs, so evaluating many
 candidates concurrently against one shared tensor is safe.  ``tensor``
@@ -40,11 +40,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-VIEW_TIME = "time-view"
-VIEW_CONDITION = "condition-view"
-VIEW_GENE = "gene-view"
-VIEWS = (VIEW_TIME, VIEW_CONDITION, VIEW_GENE)
 
 MODE_OLS = "ols"
 MODE_PAPER_LITERAL = "paper-literal"
@@ -205,6 +200,9 @@ class _Block(NamedTuple):
 
 
 def _block(tensor, coords: TriclusterCoords | None) -> _Block:
+    # A ready block passes through, so ``fitness`` gathers once yet still
+    # scores through the module globals ``msr3d`` and ``lsl``, which a
+    # tracer may patch.
     if isinstance(tensor, _Block):
         return tensor
     sub = _subtensor(_values(tensor), coords)
@@ -232,20 +230,6 @@ def _residual(b: _Block) -> np.ndarray:
     return r
 
 
-def residual(tensor, coords: TriclusterCoords, g: int, c: int, t: int) -> float:
-    """Additive-model residue of one cell; (g, c, t) are dataset indices.
-
-    Raises ValueError if the indices are not part of ``coords``.
-    """
-    try:
-        gi = coords.genes.index(g)
-        ci = coords.conditions.index(c)
-        ti = coords.times.index(t)
-    except ValueError:
-        raise ValueError(f"cell ({g}, {c}, {t}) is outside the tricluster") from None
-    return float(_residual(_block(tensor, coords))[gi, ci, ti])
-
-
 def msr3d(tensor, coords: TriclusterCoords | None = None) -> float:
     """Mean squared residue over all cells of the subtensor.
 
@@ -254,20 +238,6 @@ def msr3d(tensor, coords: TriclusterCoords | None = None) -> float:
     """
     r = _residual(_block(tensor, coords))
     return float(np.einsum("gct,gct->", r, r)) / r.size
-
-
-def _view(b: _Block, axis: str, ols: bool) -> tuple[np.ndarray, int]:
-    """A view's (line, x position) matrix of y summed over its replication
-    axis, and the length of that axis, or 1 for paper-literal slopes;
-    ``axis`` is one of ``VIEWS``."""
-    n_g, n_c, n_t = b.sub.shape
-    if axis == VIEW_TIME:
-        ys, replication = b.s_gt.T, n_c
-    elif axis == VIEW_CONDITION:
-        ys, replication = b.s_gc.T, n_t
-    else:
-        ys, replication = b.s_ct, n_g
-    return ys, replication if ols else 1
 
 
 def _slopes(ys: np.ndarray, replication: int) -> np.ndarray:
@@ -280,40 +250,13 @@ def _slopes(ys: np.ndarray, replication: int) -> np.ndarray:
     return np.einsum("lx,x->l", ys, xc) / (replication * (n * (n * n - 1) / 12))
 
 
-def view_slopes(
-    tensor, coords: TriclusterCoords, axis: str, mode: str = MODE_OLS
-) -> np.ndarray:
-    """Fit one regression line per coordinate of a view; return the slopes.
-
-    The result is a float array with one slope per line, in the order of the
-    sorted coords subset that indexes the lines.
-
-    Views and their scatter plots (y is always the expression value, x is a
-    0-based position within the sorted coords subset, so the result does not
-    depend on which absolute rows were selected):
-
-    * time-view: one line per selected time, x = gene position, points ranging
-      over genes x conditions.
-    * condition-view: one line per selected condition, x = gene position,
-      points ranging over times x genes.
-    * gene-view: one line per selected condition, x = time position, points
-      ranging over times x genes.
-
-    ``mode="ols"`` fits the exact ordinary-least-squares slope over the full
-    point set.  ``mode="paper-literal"`` evaluates the accumulator formulas
-    with the point count and x-sums taken over the x-axis subset only, i.e.
-    without the replication factor of the second summation index; the two
-    modes differ by exactly that factor.
-    """
-    b = _block(tensor, coords)
-    _choice(mode, SLOPE_MODES, "slope mode")
-    ys, replication = _view(b, _choice(axis, VIEWS, "view"), mode == MODE_OLS)
-    if ys.shape[1] < 2:
-        x_name = "times" if axis == VIEW_GENE else "genes"
-        raise SizePreconditionError(
-            f"{axis} needs at least 2 {x_name}, got {ys.shape[1]}"
-        )
-    return _slopes(ys, replication)
+def _view_slopes(b: _Block, ols: bool) -> tuple[np.ndarray, ...]:
+    """The slopes of the time, condition and gene views, in that order (see
+    ``lsl``); each line's y is summed over the view's replication axis, whose
+    length scales the OLS slope and is dropped for paper-literal ones."""
+    n_g, n_c, n_t = b.sub.shape
+    views = ((b.s_gt.T, n_c), (b.s_gc.T, n_t), (b.s_ct, n_g))
+    return tuple(_slopes(ys, replication if ols else 1) for ys, replication in views)
 
 
 def _mean_pairwise_distance(s: np.ndarray) -> float:
@@ -330,6 +273,24 @@ def lsl(tensor, coords: TriclusterCoords | None = None, mode: str = MODE_OLS) ->
     """Least-squares-line measure: mean over the three views of the average
     pairwise distance between that view's fitted slopes.
 
+    Each view fits one regression line per coordinate of one axis.  y is
+    always the expression value and x a 0-based position within the sorted
+    coords subset, so the slopes do not depend on which absolute rows were
+    selected:
+
+    * time-view: one line per selected time, x = gene position, points ranging
+      over genes x conditions.
+    * condition-view: one line per selected condition, x = gene position,
+      points ranging over times x genes.
+    * gene-view: one line per selected condition, x = time position, points
+      ranging over times x genes.
+
+    ``mode="ols"`` fits the exact ordinary-least-squares slope over the full
+    point set.  ``mode="paper-literal"`` evaluates the accumulator formulas
+    with the point count and x-sums taken over the x-axis subset only, i.e.
+    without the replication factor of the second summation index; the two
+    modes differ by exactly that factor.
+
     Requires at least 2 selected genes, conditions and times; callers must
     repair degenerate candidates first.
     """
@@ -339,9 +300,7 @@ def lsl(tensor, coords: TriclusterCoords | None = None, mode: str = MODE_OLS) ->
             f"lsl needs >= 2 selected indices per axis, got {b.sub.shape}"
         )
     ols = _choice(mode, SLOPE_MODES, "slope mode") == MODE_OLS
-    t_r, c_r, g_r = (
-        _mean_pairwise_distance(_slopes(*_view(b, v, ols))) for v in VIEWS
-    )
+    t_r, c_r, g_r = map(_mean_pairwise_distance, _view_slopes(b, ols))
     return (t_r + c_r + g_r) / 3.0
 
 
@@ -374,10 +333,11 @@ def distinction_term(coords: TriclusterCoords, archive, w: QualityWeights) -> fl
     """Novelty reward against already-archived triclusters.
 
     For each axis, counts the candidate's coordinates absent from every
-    archived tricluster and weights the novel fraction.  ``archive`` is an
-    :class:`~trievolve.engine.Archive`, whose ``covered_genes`` /
-    ``covered_conditions`` / ``covered_times`` sets are read, or None for an
-    empty archive; larger means more novel, and the term is subtracted from
+    archived tricluster and weights the novel fraction.  ``archive`` is None
+    for an empty archive, or any object with ``covered_genes``,
+    ``covered_conditions`` and ``covered_times`` sets of the indices its
+    entries use: an :class:`~trievolve.engine.Archive`, or a namespace of
+    such sets.  Larger means more novel, and the term is subtracted from
     fitness so novelty is rewarded.
     """
     axes = (coords.genes, coords.conditions, coords.times)
@@ -412,10 +372,6 @@ class FitnessBreakdown:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitnessBreakdown":
-        return cls(d["msr"], d["lsl"], d["weights"], d["distinction"], d["f"])
 
 
 def fitness(

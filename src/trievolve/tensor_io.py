@@ -347,9 +347,10 @@ def _parse_chunk(flat, offset, axes):
         columns = _clean_columns(flat, axes)
         if columns is not None:
             return columns, None
+    # _first_row_fault checks rows in order, so the rows before its fault
+    # are clean 4-field rows, whose columns cannot be None.
     row, start, detail = _first_row_fault(flat)
-    columns, _ = _parse_chunk(flat[:start], offset, axes)
-    return columns, (offset + row, detail)
+    return _clean_columns(flat[:start], axes), (offset + row, detail)
 
 
 def _first_row_fault(flat) -> tuple[int, int, str]:

@@ -38,12 +38,12 @@ from trievolve import (
     lsl,
     msr3d,
     mutate,
-    residual,
     run_triea,
 )
 from trievolve import naive
 from trievolve.cli import main as cli_main
 from trievolve.engine import _segments
+from trievolve.quality import _block, _residual
 
 from conftest import random_coords
 
@@ -118,12 +118,7 @@ def test_criterion_2_msr3d_correctness():
     values = rng.random((6, 5, 4))
     for _ in range(100):
         c = random_coords(rng, (6, 5, 4))
-        rs = [
-            residual(values, c, g, cc, t)
-            for g in c.genes
-            for cc in c.conditions
-            for t in c.times
-        ]
+        rs = _residual(_block(values, c)).ravel().tolist()
         if abs(sum(rs)) > 1e-6 * max(sum(abs(r) for r in rs), 1e-12):
             sums_ok = False
 
