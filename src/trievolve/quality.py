@@ -131,7 +131,12 @@ class TriclusterCoords:
         return self.n_genes * self.n_conditions * self.n_times
 
     def to_dict(self) -> dict:
-        return {name: list(idx) for name, idx in dataclasses.asdict(self).items()}
+        # Not dataclasses.asdict, which deep-copies every index first.
+        return {
+            "genes": list(self.genes),
+            "conditions": list(self.conditions),
+            "times": list(self.times),
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TriclusterCoords":

@@ -6,19 +6,22 @@ The canonical input is a long-format CSV with header exactly
 so does an absent (gene, condition, time) triple.  Per-condition matrix
 layouts must be converted to this format upstream.
 
-The loader reads the input in one pass of line chunks, so it may be a pipe.
-A chunk with no quote whose every line splits into a clean row is split on
-commas and line ends in one ``str.split``; the first other chunk, and every
-chunk after it, go through ``csv.reader``, and faults are sought only there.
+The loader reads the input in one pass of blocks of text, so it may be a
+pipe.  While a chunk of rows holds no quote and every row is clean, its line
+ends become marker fields and it is split on commas in one ``str.split``;
+the first other chunk, and every chunk after it, go through ``csv.reader``,
+and faults are sought only there.
 
 All operations are pure given their inputs and seed, and tensors are
 immutable after construction, so they are safe to share across threads.
 """
 
+import codecs
 import csv
 import io
 import math
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, count, islice, product
@@ -32,6 +35,13 @@ CSV_HEADER = ("gene", "condition", "time", "value")
 
 # Rows parsed (or written) per step of the CSV reader and writer.
 _CHUNK_ROWS = 32768
+# Bytes a text file reads and decodes at a time (io.TextIOWrapper's).
+_BLOCK_BYTES = 8192
+# Characters of whole lines handed to csv in one text file: fewer, larger
+# ones cost less per line.
+_LINES_CHARS = 1 << 16
+# A row's end outside quotes, for csv and a text file's lines alike.
+_LINE_END = re.compile(r"\r\n?|\n")
 # Missing time points named in a ragged-grid error; the rest are counted.
 _SHOWN_GAPS = 10
 
@@ -136,30 +146,37 @@ def load_dataset(path) -> ExpressionTensor:
     numpy columns before the next is read, so memory is bounded by one chunk
     plus the columns and the tensor, for a rejected ragged file too.
 
-    A chunk is read as raw lines and joined into one text; the lines are
-    dropped then.  While a chunk holds no quote and no line longer than the
-    csv field limit, each line is one row whose fields are the line less its
-    line end, split on commas, which is what ``csv.reader`` yields for it;
-    the whole text is split with one ``str.split``, and the chunk is taken
-    when every line has 4 fields and every row is clean.  The first chunk
-    that fails that test (a blank, short or faulty line included), or whose
-    read fails, goes through ``csv.reader`` as its text followed by the
-    rest of the file, so a quoted field reads as csv reads it, across lines
-    and chunks too, and every fault is found in csv's rows.  Reading stops
-    at the first faulty row, and the columns stop before it, so a duplicate
-    among them lies earlier in the file than that row; a read failure lies
-    after both.  A leading UTF-8 byte-order mark is skipped.
+    The file is decoded in blocks, as a text file decodes it for its lines,
+    and a chunk's rows are cut from them as one text; no row is made a
+    string of its own.  Rows end at a CR, an LF or a CR LF, as csv ends them
+    outside quotes.  While a chunk holds no quote and no field longer than
+    the csv field limit, each row's fields are its text less its line end,
+    split on commas, which is what ``csv.reader`` yields for it: each line
+    end becomes the marker field ``",\\n,"`` (in one pass when the chunk's
+    line ends are all LF or all CR LF), the text is split with one
+    ``str.split``, and the chunk is taken when every row has 4 fields and is
+    clean.  The first chunk that fails that test (a blank, short or faulty
+    row included), or whose read fails, goes through ``csv.reader`` as its
+    text followed by the rest of the file, so a quoted field reads as csv
+    reads it, across lines and chunks too, and every fault is found in csv's
+    rows.  Reading stops at the first faulty row, and the columns stop
+    before it, so a duplicate among them lies earlier in the file than that
+    row; a read failure lies after both, and the rows before it are the
+    whole lines a text file reads before it.  A leading UTF-8 byte-order
+    mark is skipped.
     """
     axes = (_Index(), _Index(), _Index())
     parts = []
     fault = failure = reader = None
     n_rows = 0
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, "rb") as raw:
+        src = _Text(raw)
         try:
-            header = next(csv.reader(fh))
+            header = next(csv.reader(src.lines()))
         except StopIteration:
             raise DatasetFormatError(f"{path}: file is empty") from None
+        src.keep_unread()
         if tuple(header) != CSV_HEADER:
             raise DatasetFormatError(
                 f"{path}: line 1: header must be exactly "
@@ -168,33 +185,16 @@ def load_dataset(path) -> ExpressionTensor:
         while True:
             columns = None
             if reader is None:
-                lines: list[str] = []
-                try:
-                    lines.extend(islice(fh, _CHUNK_ROWS))
-                except (ValueError, OSError) as exc:  # decoding included
-                    failure = exc
-                n = len(lines)
-                longest = max(map(len, lines), default=0)
-                text = "".join(lines)
-                del lines
-                # A quote, and a field past csv's limit, read only as csv reads them.
-                if (
-                    failure is None
-                    and longest <= csv.field_size_limit()
-                    and '"' not in text
-                ):
-                    if "\r" in text:
-                        # Unquoted, a CR, LF or CRLF ends a row alike, for
-                        # csv too; rebinding text frees the original.
-                        text = text.replace("\r\n", "\n").replace("\r", "\n")
-                    columns = _split_columns(text, n, axes)
+                marked, n = src.rows(_CHUNK_ROWS)
+                # A quote reads only as csv reads it.
+                if src.failure is None and '"' not in marked:
+                    columns = _split_columns(marked, n, axes)
+                del marked
                 if columns is None:
-                    # This chunk's text, then the rest of the file (or the
+                    # This chunk's rows, then the rest of the file (or the
                     # read failure), go through csv from here on.
-                    rest = fh if failure is None else _raising(failure)
-                    reader = csv.reader(chain(io.StringIO(text, newline=""), rest))
-                    failure = None
-                del text
+                    src.put_back()
+                    reader = csv.reader(src.lines())
             if columns is None:
                 # Each row's fields, then the row's number in the chunk, go
                 # into one flat list: no per-row list outlives its row (32k
@@ -215,6 +215,7 @@ def load_dataset(path) -> ExpressionTensor:
                 break
 
     gi, ci, ti, present, present_values = (np.concatenate(c) for c in zip(*parts))
+    del parts  # the chunks' columns, as large as the joined ones
     genes, conditions, first_times = (list(pos) for pos in axes)
     times = _sorted_time_labels(first_times)
     rank = np.empty(len(times), dtype=np.intp)
@@ -276,28 +277,177 @@ class _Index(dict):
         return index
 
 
-def _raising(exc):
-    """An iterator that raises ``exc`` when first advanced."""
-    raise exc
-    yield  # unreachable; makes this a generator
+class _Text:
+    """The text of a UTF-8 file opened in binary, less a leading byte-order
+    mark, decoded as ``open(path, newline="", encoding="utf-8-sig")`` decodes
+    it for its lines: blocks of _BLOCK_BYTES, each decoded once, so a
+    decoding error reads the same and keeps the same text before it.
 
-
-def _split_columns(text, n, axes):
-    """``_clean_columns`` of a chunk's text of ``n`` lines split on commas
-    and line ends, or None when a line does not hold 4 fields or a row is
-    faulty.
-
-    ``text`` holds no quote, the one character csv reads specially here,
-    and ends its lines with LF, the last one maybe with none, so each line
-    reads in ``csv.reader`` as its text less its line end, split on commas.
+    ``text[pos:]`` is the text decoded and not yet taken.  No decoded block
+    but the last ends in a CR: the decoder holds it back, as it may start a
+    CR LF.  A read failure is kept in ``failure`` and raised again by every
+    later read.
     """
-    if text and not text.endswith("\n"):
-        text += "\n"
-    fields = text.replace("\n", ",\n,").split(",")
-    fields.pop()  # the empty field after the last line end
-    # The n line ends are the only "\n" fields, and the last one ends the
-    # list, so every line has 4 fields exactly when they sit at every 5th
-    # place; a blank or short line does not.
+
+    def __init__(self, raw):
+        self._raw = raw
+        self._decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8-sig")(), translate=False
+        )
+        self.text = ""
+        self.pos = 0
+        self.failure = None
+        self._taken = []  # the rows' text that rows() last took
+        self._lines = None  # the text file lines() reads from now
+
+    def _block(self) -> str:
+        """The next decoded block, or "" at the end of the file."""
+        if self.failure is not None:
+            raise self.failure
+        while True:
+            try:
+                data = self._raw.read1(_BLOCK_BYTES)
+                text = self._decoder.decode(data, final=not data)
+            except (ValueError, OSError) as exc:  # decoding included
+                self.failure = exc
+                raise
+            if text or not data:
+                return text
+
+    def lines(self):
+        """An iterator of the untaken text's lines, then the rest of the
+        file's, as a text file yields lines (csv.reader needs whole ones);
+        a read failure is raised after the whole lines before it.
+        ``keep_unread`` then takes only the lines it yielded."""
+        return chain.from_iterable(self._whole_lines())
+
+    def _whole_lines(self):
+        """Yield text files (``io.StringIO``) of the untaken text's whole
+        lines, then of the rest of the file's, _LINES_CHARS or so at a
+        time."""
+        while True:
+            text = self.text[self.pos:]
+            end = max(text.rfind("\n"), text.rfind("\r")) + 1
+            self.text, self.pos = text, end
+            self._lines = io.StringIO(text[:end], newline="")
+            yield self._lines
+            # Blocks up to a line end and _LINES_CHARS long, joined once; a
+            # read failure is raised by the next read, after their lines.
+            blocks, size, ended = [text[end:]], 0, False
+            try:
+                while not (ended and size >= _LINES_CHARS):
+                    blocks.append(self._block())
+                    if not blocks[-1]:
+                        break
+                    size += len(blocks[-1])
+                    ended = ended or "\n" in blocks[-1] or "\r" in blocks[-1]
+            except (ValueError, OSError):
+                if not size:
+                    raise
+            self.text, self.pos = "".join(blocks), 0
+            if not blocks[-1]:  # the end of the file, maybe in a line
+                self._lines = io.StringIO(self.text, newline="")
+                self.pos = len(self.text)
+                yield self._lines
+                return
+
+    def keep_unread(self) -> None:
+        """Leave untaken the text after the last line ``lines`` yielded."""
+        self.pos = self._lines.tell()
+
+    def rows(self, k) -> tuple[str, int]:
+        """The next ``k`` rows (fewer at the end of the file), taken, as
+        ``(marked, n)``: their text with each line end made the marker field
+        ",\\n,", the last row's too, and their number.  Rows end as csv ends
+        them outside quotes: at a CR, an LF or a CR LF.  After a read
+        failure ``marked`` is of no use; ``put_back`` returns what was
+        read."""
+        self._taken = [self.text[self.pos:]]
+        marked = []
+        n = 0
+        while self.failure is None:
+            piece, ends = _marked(self._taken[-1])
+            if n + ends >= k:
+                # The k-th row ends in this piece: the rest is left.
+                text = self._taken[-1]
+                cut = _past_line_end(text, k - n)
+                self._taken[-1], self.text = text[:cut], text[cut:]
+                marked.append(piece[:_past_line_end(piece, k - n) + 1])
+                self.pos = 0
+                return "".join(marked), k
+            marked.append(piece)
+            n += ends
+            try:
+                piece = self._block()
+            except (ValueError, OSError):
+                break
+            if not piece:  # the end of the file
+                if self._taken[-1][-1:] not in ("", "\r", "\n"):
+                    marked.append(",\n,")
+                    n += 1
+                break
+            self._taken.append(piece)
+        self.text, self.pos = "", 0
+        return "".join(marked), n
+
+    def put_back(self) -> None:
+        """Make the rows last taken the start of the untaken text again."""
+        self._taken.append(self.text[self.pos:])
+        self.text, self.pos = "".join(self._taken), 0
+        self._taken = []
+
+
+def _marked(text) -> tuple[str, int]:
+    """``text`` with each line end (CR, LF or CR LF) made the marker field
+    ",\\n,", and the number of line ends: in one pass when all are LF or
+    all CR LF, which add 2 and 1 characters each."""
+    if "\r" not in text:
+        marked = text.replace("\n", ",\n,")
+        return marked, (len(marked) - len(text)) // 2
+    marked = text.replace("\r\n", ",\n,")
+    crlf = len(marked) - len(text)
+    if "\r" in marked or text.count("\n") != crlf:  # a lone CR or LF
+        marked = text.replace("\r\n", "\n").replace("\r", "\n").replace("\n", ",\n,")
+        return marked, (len(marked) - len(text) + crlf) // 2
+    return marked, crlf
+
+
+def _past_line_end(text, k) -> int:
+    """The index just past the ``k``-th line end in ``text``, a block or
+    the untaken text: neither ends in a CR that starts a CR LF."""
+    return next(islice(_LINE_END.finditer(text), k - 1, None)).end()
+
+
+def _fields_within(text, limit) -> bool:
+    """Whether no comma-separated field of ``text`` is longer than ``limit``."""
+    start = 0
+    while len(text) - start > limit:
+        # Fields starting before the last comma of the next limit + 1
+        # characters end by it; with no comma there, the field at start is
+        # longer than limit.
+        comma = text.rfind(",", start, start + limit + 1)
+        if comma < 0:
+            return False
+        start = comma + 1
+    return True
+
+
+def _split_columns(marked, n, axes):
+    """``_clean_columns`` of a chunk's ``n`` rows split on commas, or None
+    when a row does not hold 4 fields, a field is past csv's limit or a row
+    is faulty.
+
+    ``marked`` holds no quote, the one character csv reads specially here,
+    so each row reads in ``csv.reader`` as its text less its line end, split
+    on commas; its rows end in the marker field ",\\n,".
+    """
+    if not _fields_within(marked, csv.field_size_limit()):
+        return None
+    fields = marked.split(",")
+    fields.pop()  # the empty field after the last marker
+    # The n markers are the only "\n" fields, and the last one ends the
+    # list, so every row has 4 fields exactly when they sit at every 5th
+    # place; a blank or short row does not.
     if fields[4::5] != ["\n"] * n:
         return None
     return _clean_columns(fields, axes)
@@ -320,15 +470,18 @@ def _clean_columns(flat, axes):
     # the rows before its faulty row test their own columns.
     if any("" in pos and "" in column for column, pos in zip(labels, axes)):
         return None
+    blanks = raws.count("")
     try:
-        values = np.fromiter(
-            map(float, filter(None, raws)), np.float64, n - raws.count("")
-        )
+        if blanks:
+            values = np.fromiter(map(float, filter(None, raws)), np.float64, n - blanks)
+        else:
+            values = np.fromiter(map(float, raws), np.float64, n)
     except ValueError:
         return None
     if not np.isfinite(values).all():
         return None
-    return (*indices, np.fromiter(map(bool, raws), bool, n), values)
+    present = np.fromiter(map(bool, raws), bool, n) if blanks else np.ones(n, bool)
+    return (*indices, present, values)
 
 
 def _parse_chunk(flat, offset, axes):

@@ -12,7 +12,11 @@ the digest; the scores still agree with ``naive.py`` there.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,3 +136,41 @@ def test_fitness_bits_match_golden_digest():
         breakdown = fitness(values, coords, weights, archive, mode)
         h.update(np.array(astuple(breakdown), dtype=np.float64).tobytes())
     assert h.hexdigest() == GOLDEN_FITNESS
+
+
+# Prints numpy's dispatched SIMD targets (those beyond its build baseline)
+# that the CPU runs and NPY_DISABLE_CPU_FEATURES leaves on.
+_PRINT_SIMD_TARGETS = """
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+print(" ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)))
+"""
+
+
+def _simd_targets_on(env=None) -> list[str]:
+    probe = subprocess.run(
+        [sys.executable, "-c", _PRINT_SIMD_TARGETS],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return probe.stdout.split()
+
+
+def test_fitness_bits_hold_with_dispatched_simd_targets_off():
+    # The bit contract must not hang on this CPU's SIMD tier: in a fresh
+    # process with every dispatched target that is on turned off, numpy
+    # runs its baseline kernels, and the fitness digest must still hold.
+    targets = _simd_targets_on()
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target on this CPU")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    assert _simd_targets_on(env) == []
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_fitness_bits_match_golden_digest"],
+        env=env, capture_output=True, text=True, timeout=600,
+        cwd=Path(__file__).parent.parent,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed" in run.stdout

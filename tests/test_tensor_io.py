@@ -265,13 +265,13 @@ def draw_lines(draw, gene_pool, condition_pool, time_pool):
 
 @st.composite
 def csv_texts(draw):
-    """A long-format CSV text: a shuffled full grid, then up to four faults."""
+    """A long-format CSV text: a shuffled full grid, then up to four faults;
+    each row ends in a line terminator of its own."""
     header, rows = draw_lines(draw, GENE_LABELS, CONDITION_LABELS, LEXICAL_TIMES)
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n", "\r"])))
-    if header is not None:
-        writer.writerow(header)
-    writer.writerows(rows)
+    for row in ([header] if header is not None else []) + rows:
+        end = draw(st.sampled_from(["\r\n", "\n", "\r"]))
+        csv.writer(buf, lineterminator=end).writerow(row)
     return buf.getvalue() + draw(st.sampled_from(("",) * 6 + RAW_TAILS))
 
 
@@ -607,6 +607,29 @@ class TestSplitPathGuard:
         assert got == _load_outcome(naive.load_dataset_naive, path)
         assert got[0] is DatasetFormatError and f"line {3 * k}: " in got[1]
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("chunk_rows", [3, tensor_io._CHUNK_ROWS])
+    def test_clean_file_builds_only_the_header_reader(self, tmp_path, end, chunk_rows):
+        # An exported CSV (CR LF) and its LF copy: if the split path switched
+        # off, each chunk would build a reader of its own.
+        tensor, _ = generate_synthetic(SyntheticSpec((200, 4, 14), seed=3))
+        path = tmp_path / "d.csv"
+        export_csv(tensor, path)
+        text = path.read_text(encoding="utf-8").replace("\r\n", end)
+        path.write_text(text, encoding="utf-8", newline="")
+        built = []
+        real = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(tensor_io.csv, "reader", counting_reader):
+            back = load_dataset(path)
+        assert len(built) == 1
+        assert back.values.tobytes() == tensor.values.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(plain_csv_texts(), CHUNK_ROWS)
     def test_quote_free_load_matches_row_by_row_oracle(self, text, chunk_rows):
@@ -616,6 +639,91 @@ class TestSplitPathGuard:
             with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows):
                 got = _load_outcome(load_dataset, path)
             assert got == _load_outcome(naive.load_dataset_naive, path)
+
+
+def rows_text(n_rows, end, straddle=()):
+    """A header and ``n_rows`` clean rows ``g<i>,x,1,<i>``, each ending in
+    ``end``.  Each data row (0-based) in ``straddle`` gets its gene label
+    padded so that its line end starts at the last byte of a decoded block:
+    a CR LF is split between two blocks.  The text is ASCII."""
+    block = tensor_io._BLOCK_BYTES
+    parts = [",".join(tensor_io.CSV_HEADER) + end]
+    size = len(parts[0])
+    for i in range(n_rows):
+        row = f"g{i},x,1,{i}"
+        if i in straddle:
+            pad = -(size + len(row) + 1) % block
+            row = f"g{i}{'_' * pad},x,1,{i}"
+            assert (size + len(row)) % block == block - 1
+        parts.append(row + end)
+        size += len(row) + len(end)
+    return "".join(parts)
+
+
+def write_text(path, text):
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, tensor_io._CHUNK_ROWS])
+class TestLineEnds:
+    """Rows end where csv ends them, at chunk cuts and block edges too."""
+
+    def test_crlf_split_across_blocks_and_chunk_cuts(self, tmp_path, chunk_rows):
+        # The CR LF ending the last row of the first and second chunks, and
+        # of one more row, each straddles two decoded blocks.
+        straddle = {chunk_rows - 1, 2 * chunk_rows - 1, 40}
+        n_rows = 2 * chunk_rows + 50
+        path = write_text(tmp_path / "d.csv", rows_text(n_rows, "\r\n", straddle))
+        got, csv_rows = csv_rows_read(path, chunk_rows)
+        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+        assert got[0] == (n_rows, 1, 1)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_last_row_without_line_end_at_exactly_chunk_rows(self, tmp_path, chunk_rows, end):
+        text = rows_text(chunk_rows, end)[:-len(end)]
+        got, csv_rows = csv_rows_read(write_text(tmp_path / "d.csv", text), chunk_rows)
+        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert got == _load_outcome(naive.load_dataset_naive, tmp_path / "d.csv")
+        assert got[0] == (chunk_rows, 1, 1)
+
+    def test_cr_cr_lf_ends_a_row_and_a_blank_row(self, tmp_path, chunk_rows):
+        text = rows_text(10, "\r\n").replace("g4,x,1,4\r\n", "g4,x,1,4\r\r\n")
+        path = write_text(tmp_path / "d.csv", text)
+        got = matches_oracle(path, chunk_rows)
+        assert got == (DatasetFormatError, f"{path}: line 7: expected 4 fields, got 0")
+
+    def test_lone_cr_inside_a_label_ends_a_row(self, tmp_path, chunk_rows):
+        text = rows_text(10, "\r\n").replace("g4,x,1,4\r\n", "g4\rg5,x,1,4\r\n")
+        path = write_text(tmp_path / "d.csv", text)
+        got = matches_oracle(path, chunk_rows)
+        assert got == (DatasetFormatError, f"{path}: line 6: expected 4 fields, got 1")
+
+
+class TestReadFailure:
+    """An undecodable byte: the rows before it are the whole lines a text
+    file reads before it, and a fault among them is reported first."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 500, tensor_io._CHUNK_ROWS])
+    @pytest.mark.parametrize("offset", [8191, 8192, 8193, 8200, 16383, 16384, 16385])
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_undecodable_byte_matches_oracle(self, tmp_path, chunk_rows, offset, fault):
+        # With fault, the last row that ends before the bad byte's block has
+        # a bad value: a text file has read it whole, so it is reported.  At
+        # 500-row chunks it lies in the tail carried past the first chunk's
+        # cut, and so does the row that the bad byte breaks at 8192-8200.
+        data = rows_text(3000, "\n").encode()
+        start = offset - offset % tensor_io._BLOCK_BYTES
+        if fault and start:
+            end = data.rindex(b"\n", 0, start)
+            row = data[data.rindex(b"\n", 0, end) + 1:end]
+            gene, cond, time, value = row.split(b",")
+            data = data.replace(row + b"\n", b",".join([gene, cond, time, b"x" * len(value)]) + b"\n")
+        path = tmp_path / "d.csv"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        got = matches_oracle(path, chunk_rows)
+        assert got[0] is (DatasetFormatError if fault and start else UnicodeDecodeError)
 
 
 BOM = b"\xef\xbb\xbf"
