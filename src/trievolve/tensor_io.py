@@ -37,9 +37,6 @@ CSV_HEADER = ("gene", "condition", "time", "value")
 _CHUNK_ROWS = 32768
 # Bytes a text file reads and decodes at a time (io.TextIOWrapper's).
 _BLOCK_BYTES = 8192
-# Characters of whole lines handed to csv in one text file: fewer, larger
-# ones cost less per line.
-_LINES_CHARS = 1 << 16
 # A row's end outside quotes, for csv and a text file's lines alike.
 _LINE_END = re.compile(r"\r\n?|\n")
 # Missing time points named in a ragged-grid error; the rest are counted.
@@ -185,11 +182,10 @@ def load_dataset(path) -> ExpressionTensor:
         while True:
             columns = None
             if reader is None:
-                marked, n = src.rows(_CHUNK_ROWS)
-                # A quote reads only as csv reads it.
-                if src.failure is None and '"' not in marked:
-                    columns = _split_columns(marked, n, axes)
-                del marked
+                chunk = src.rows(_CHUNK_ROWS)
+                if chunk is not None:
+                    columns = _split_columns(*chunk, axes)
+                del chunk
                 if columns is None:
                     # This chunk's rows, then the rest of the file (or the
                     # read failure), go through csv from here on.
@@ -323,27 +319,17 @@ class _Text:
 
     def _whole_lines(self):
         """Yield text files (``io.StringIO``) of the untaken text's whole
-        lines, then of the rest of the file's, _LINES_CHARS or so at a
-        time."""
+        lines, then of the rest of the file's, a block or so at a time."""
         while True:
             text = self.text[self.pos:]
             end = max(text.rfind("\n"), text.rfind("\r")) + 1
             self.text, self.pos = text, end
             self._lines = io.StringIO(text[:end], newline="")
             yield self._lines
-            # Blocks up to a line end and _LINES_CHARS long, joined once; a
-            # read failure is raised by the next read, after their lines.
-            blocks, size, ended = [text[end:]], 0, False
-            try:
-                while not (ended and size >= _LINES_CHARS):
-                    blocks.append(self._block())
-                    if not blocks[-1]:
-                        break
-                    size += len(blocks[-1])
-                    ended = ended or "\n" in blocks[-1] or "\r" in blocks[-1]
-            except (ValueError, OSError):
-                if not size:
-                    raise
+            # Blocks up to the next line end, joined once.
+            blocks = [text[end:], self._block()]
+            while blocks[-1] and "\n" not in blocks[-1] and "\r" not in blocks[-1]:
+                blocks.append(self._block())
             self.text, self.pos = "".join(blocks), 0
             if not blocks[-1]:  # the end of the file, maybe in a line
                 self._lines = io.StringIO(self.text, newline="")
@@ -355,26 +341,31 @@ class _Text:
         """Leave untaken the text after the last line ``lines`` yielded."""
         self.pos = self._lines.tell()
 
-    def rows(self, k) -> tuple[str, int]:
+    def rows(self, k) -> tuple[str, int] | None:
         """The next ``k`` rows (fewer at the end of the file), taken, as
         ``(marked, n)``: their text with each line end made the marker field
         ",\\n,", the last row's too, and their number.  Rows end as csv ends
-        them outside quotes: at a CR, an LF or a CR LF.  After a read
-        failure ``marked`` is of no use; ``put_back`` returns what was
-        read."""
+        them outside quotes: at a CR, an LF or a CR LF.  None when the rows
+        hold a quote, which reads only as csv reads it, or a read fails;
+        ``put_back`` then returns what was read.  A block is marked only up
+        to its first quote."""
         self._taken = [self.text[self.pos:]]
         marked = []
         n = 0
-        while self.failure is None:
-            piece, ends = _marked(self._taken[-1])
+        while True:
+            text = self._taken[-1]
+            quote = text.find('"')
+            piece, ends = _marked(text if quote < 0 else text[:quote])
             if n + ends >= k:
-                # The k-th row ends in this piece: the rest is left.
-                text = self._taken[-1]
+                # The k-th row ends in this piece, before any quote: the
+                # rest is left.
                 cut = _past_line_end(text, k - n)
                 self._taken[-1], self.text = text[:cut], text[cut:]
                 marked.append(piece[:_past_line_end(piece, k - n) + 1])
                 self.pos = 0
                 return "".join(marked), k
+            if quote >= 0:
+                break
             marked.append(piece)
             n += ends
             try:
@@ -385,10 +376,11 @@ class _Text:
                 if self._taken[-1][-1:] not in ("", "\r", "\n"):
                     marked.append(",\n,")
                     n += 1
-                break
+                self.text, self.pos = "", 0
+                return "".join(marked), n
             self._taken.append(piece)
         self.text, self.pos = "", 0
-        return "".join(marked), n
+        return None
 
     def put_back(self) -> None:
         """Make the rows last taken the start of the untaken text again."""

@@ -607,6 +607,26 @@ class TestSplitPathGuard:
         assert got == _load_outcome(naive.load_dataset_naive, path)
         assert got[0] is DatasetFormatError and f"line {3 * k}: " in got[1]
 
+    @pytest.mark.parametrize("quoted", [0, 50, 2000])
+    def test_text_past_the_first_quote_is_not_marked(self, tmp_path, quoted):
+        # The quote sends the first chunk through csv, so marking its line
+        # ends past the quote would be wasted.
+        rows = [f"g{i},x,1,{i}" for i in range(3000)]
+        rows[quoted] = f'"g{quoted}",x,1,0'
+        path = write_csv(tmp_path / "d.csv", rows)
+        text = path.read_text()
+        seen = []
+        real = tensor_io._marked
+
+        def recording(text):
+            seen.append(text)
+            return real(text)
+
+        with mock.patch.object(tensor_io, "_marked", recording):
+            got = _load_outcome(load_dataset, path)
+        assert "".join(seen) == text[text.index("\n") + 1:text.index('"')]
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     @pytest.mark.parametrize("chunk_rows", [3, tensor_io._CHUNK_ROWS])
     def test_clean_file_builds_only_the_header_reader(self, tmp_path, end, chunk_rows):
