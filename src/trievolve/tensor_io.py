@@ -10,7 +10,9 @@ The loader reads the input in one pass of blocks of text, so it may be a
 pipe.  While a chunk of rows holds no quote and every row is clean, its line
 ends become marker fields and it is split on commas in one ``str.split``;
 the first other chunk, and every chunk after it, go through ``csv.reader``,
-and faults are sought only there.
+and faults are sought only there.  The writer fills a flat list of field
+slots per block of whole genes and sends each block with one join and one
+write.
 
 All operations are pure given their inputs and seed, and tensors are
 immutable after construction, so they are safe to share across threads.
@@ -562,11 +564,13 @@ def export_csv(tensor: ExpressionTensor, path) -> None:
     """Write every cell in long format; missing cells get an empty value.
 
     Each label is quoted once, as ``csv.writer`` quotes it, and every
-    ``condition,time`` pair is joined once into the tail of its lines.
-    Cells are then written in row-major order, a block of whole genes at a
-    time (one chunk's worth of rows): each line is its gene's field, its
-    tail and the value's ``repr``, and the block goes out as one string, so
-    memory is bounded by one block's lines plus the tensor.
+    ``,condition,time,`` tail is built once.  Cells are then written in
+    row-major order, a block of whole genes at a time (one chunk's worth of
+    rows).  A block is a flat list of four slots a line, filled by slice
+    assignment: the gene's field, the line's tail, the value's ``repr`` (empty
+    for a missing cell) and ``\\r\\n``.  One ``"".join`` makes the block's
+    text and one ``write`` sends it, so no string per line is made and memory
+    is bounded by one block's slots and text plus the tensor.
     """
     n_g, n_c, n_t = tensor.shape
     block = max(1, _CHUNK_ROWS // (n_c * n_t))
@@ -578,11 +582,14 @@ def export_csv(tensor: ExpressionTensor, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for g0 in range(0, n_g, block):
-            fields = list(map(repr, tensor.values[g0:g0 + block].ravel().tolist()))
+            part = genes[g0:g0 + block]
+            slots = ["\r\n"] * (4 * len(tails) * len(part))
+            slots[0::4] = [gene for gene in part for _ in tails]
+            slots[1::4] = tails * len(part)
+            slots[2::4] = map(repr, tensor.values[g0:g0 + block].ravel().tolist())
             for i in np.flatnonzero(tensor.missing_mask[g0:g0 + block]).tolist():
-                fields[i] = ""
-            heads = [gene + tail for gene in genes[g0:g0 + block] for tail in tails]
-            fh.write("\r\n".join(map(str.__add__, heads, fields)) + "\r\n")
+                slots[4 * i + 2] = ""
+            fh.write("".join(slots))
 
 
 def _csv_fields(labels) -> list[str]:

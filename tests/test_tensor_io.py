@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -365,22 +367,27 @@ class TestCsvOracle:
             assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, tensor_io._CHUNK_ROWS])
-    @pytest.mark.parametrize("conds, times", [
-        (("c,1",), (" t\r",)),  # one line per gene: blocks of 1, 2, 3 and all genes
-        (("x", 'y"'), ("1", "a\nb")),
+    @pytest.mark.parametrize("conds, times, blank", [
+        # The first label set has one line per gene: blocks of 1, 2, 3 and
+        # all genes.  "edges" blanks the first and last lines of blocks;
+        # "all" and "none" fill whole blocks with empty or real values.
+        pytest.param(conds, times, blank, id=f"conds{i}-times{i}" + suffix)
+        for blank, suffix in (("edges", ""), ("all", "-all"), ("none", "-none"))
+        for i, (conds, times) in enumerate([(("c,1",), (" t\r",)), (("x", 'y"'), ("1", "a\nb"))])
     ])
-    def test_export_quotes_named_labels(self, tmp_path, chunk_rows, conds, times):
+    def test_export_quotes_named_labels(self, tmp_path, chunk_rows, conds, times, blank):
         genes = ("plain", "com,ma", 'q"uote', "l\nf", "cr\r\nlf", "lone\rcr", " pad ", "")
         shape = (len(genes), len(conds), len(times))
         spellings = [0.1, -0.0, 1e-05, 1e16, 123.456, -7.0, 2.5e-300, 1 / 3]
         values = np.resize(spellings, shape)
-        mask = np.zeros(shape, dtype=bool)
+        mask = np.full(shape, blank == "all")
         lines = mask.reshape(-1)
         per_gene = len(conds) * len(times)
-        for g in (0, 2, 5, 7):  # first lines of blocks, and of the file
-            lines[g * per_gene] = True
-        for g in (2, 5, 7):  # last lines of blocks, and of the file
-            lines[(g + 1) * per_gene - 1] = True
+        if blank == "edges":
+            for g in (0, 2, 5, 7):  # first lines of blocks, and of the file
+                lines[g * per_gene] = True
+            for g in (2, 5, 7):  # last lines of blocks, and of the file
+                lines[(g + 1) * per_gene - 1] = True
 
         def export(n_genes):
             tensor = ExpressionTensor(
@@ -406,6 +413,46 @@ class TestCsvOracle:
         assert back.values[~back.missing_mask].tobytes() == (
             tensor.values[~tensor.missing_mask].tobytes()
         )
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, tensor_io._CHUNK_ROWS])
+    @pytest.mark.parametrize("shape", [(7, 1, 1), (7, 2, 3)])
+    def test_export_writes_the_header_then_one_string_per_block(
+        self, tmp_path, rng, chunk_rows, shape
+    ):
+        # Memory stays bounded by one block: the header goes out alone, then
+        # each block of whole genes in one write, never the file at once.
+        values = rng.random(shape)
+        tensor = replace(make_tensor(values), missing_mask=values < 0.3)
+        writes = []
+        real_open = open
+
+        class RecordingFile:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                writes.append(text)
+                return self.fh.write(text)
+
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(tensor_io, "open", RecordingFile, create=True):
+            export_csv(tensor, got)
+        naive.export_csv_naive(tensor, want)
+        assert got.read_bytes() == want.read_bytes()
+
+        n_g, n_c, n_t = shape
+        block = max(1, chunk_rows // (n_c * n_t))
+        assert len(writes) == 1 + math.ceil(n_g / block)
+        assert writes[0] == "gene,condition,time,value\r\n"
+        lines = [text.count("\r\n") for text in writes[1:]]
+        assert lines == [min(block, n_g - g0) * n_c * n_t for g0 in range(0, n_g, block)]
 
     def test_cell_index_cannot_wrap(self):
         # Row 1's plain row-major number, 2**21 * 2**21 * 2**22 + 5, is
