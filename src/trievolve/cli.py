@@ -242,13 +242,15 @@ def _load(path) -> ExpressionTensor:
 
 def _read_json(path, parse, what: str):
     """``parse`` of the JSON document in ``path``; exit 2 when the file is
-    missing, unreadable or malformed, or ``parse`` rejects it (IndexError too)."""
+    missing, unreadable or malformed (nested too deeply to parse included), or
+    ``parse`` rejects it (IndexError too)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
     except OSError as exc:
         raise _Exit(EXIT_USAGE, f"cannot read {path}: {_reason(exc)}")
-    except (LookupError, TypeError, ValueError) as exc:  # decoding errors included
+    # Decoding errors are ValueErrors; deep nesting is a RecursionError.
+    except (LookupError, RecursionError, TypeError, ValueError) as exc:
         raise _Exit(EXIT_USAGE, f"invalid {what}: {path}: {exc}")
 
 

@@ -7,12 +7,13 @@ so does an absent (gene, condition, time) triple.  Per-condition matrix
 layouts must be converted to this format upstream.
 
 The loader reads the input in one pass of blocks of text, so it may be a
-pipe.  While a chunk of rows holds no quote and every row is clean, its line
-ends become marker fields and it is split on commas in one ``str.split``;
-the first other chunk, and every chunk after it, go through ``csv.reader``,
-and faults are sought only there.  The writer fills a flat list of field
-slots per block of whole genes and sends each block with one join and one
-write.
+pipe.  The header is read as a chunk's row is.  While a chunk of rows holds
+no quote and every row is clean, its line ends become marker fields and it
+is split on commas in one ``str.split``.  csv runs only on the fallback:
+from the first other chunk (or a header that does not read so) to the end
+of the file, ``csv.reader`` reads every row, and faults are sought only
+there.  The writer fills a flat list of field slots per block of whole genes
+and sends each block with one join and one write.
 
 All operations are pure given their inputs and seed, and tensors are
 immutable after construction, so they are safe to share across threads.
@@ -39,6 +40,8 @@ CSV_HEADER = ("gene", "condition", "time", "value")
 _CHUNK_ROWS = 32768
 # Bytes a text file reads and decodes at a time (io.TextIOWrapper's).
 _BLOCK_BYTES = 8192
+# The header row as _Text.rows marks it.
+_HEADER_ROW = ",".join(CSV_HEADER) + ",\n,"
 # A row's end outside quotes, for csv and a text file's lines alike.
 _LINE_END = re.compile(r"\r\n?|\n")
 # Missing time points named in a ragged-grid error; the rest are counted.
@@ -154,15 +157,18 @@ def load_dataset(path) -> ExpressionTensor:
     end becomes the marker field ``",\\n,"`` (in one pass when the chunk's
     line ends are all LF or all CR LF), the text is split with one
     ``str.split``, and the chunk is taken when every row has 4 fields and is
-    clean.  The first chunk that fails that test (a blank, short or faulty
-    row included), or whose read fails, goes through ``csv.reader`` as its
-    text followed by the rest of the file, so a quoted field reads as csv
-    reads it, across lines and chunks too, and every fault is found in csv's
-    rows.  Reading stops at the first faulty row, and the columns stop
-    before it, so a duplicate among them lies earlier in the file than that
-    row; a read failure lies after both, and the rows before it are the
-    whole lines a text file reads before it.  A leading UTF-8 byte-order
-    mark is skipped.
+    clean.  The header is read as a one-row chunk and taken when it is
+    exactly the header and its line end.  The first chunk that fails that
+    test (a blank, short or faulty row included), or whose read fails, and a
+    header that is not taken (quoted, wrong, missing or cut off by a read
+    failure) go through ``csv.reader`` as their text followed by the rest of
+    the file, so a quoted field reads as csv reads it, across lines and
+    chunks too, and every fault is found in csv's rows.  A clean file builds
+    no ``csv.reader``.  Reading stops at the first faulty row, and the
+    columns stop before it, so a duplicate among them lies earlier in the
+    file than that row; a read failure lies after both, and the rows before
+    it are the whole lines a text file reads before it.  A leading UTF-8
+    byte-order mark is skipped.
     """
     axes = (_Index(), _Index(), _Index())
     parts = []
@@ -171,16 +177,21 @@ def load_dataset(path) -> ExpressionTensor:
 
     with open(path, "rb") as raw:
         src = _Text(raw)
-        try:
-            header = next(csv.reader(src.lines()))
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: file is empty") from None
-        src.keep_unread()
-        if tuple(header) != CSV_HEADER:
-            raise DatasetFormatError(
-                f"{path}: line 1: header must be exactly "
-                f"{','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
+        # A header that is not exactly _HEADER_ROW, or that csv's field limit
+        # rejects, goes through csv with every row after it.
+        if src.rows(1) != (_HEADER_ROW, 1) or not _fields_within(
+            _HEADER_ROW, csv.field_size_limit()
+        ):
+            reader = src.to_csv()
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetFormatError(f"{path}: file is empty") from None
+            if tuple(header) != CSV_HEADER:
+                raise DatasetFormatError(
+                    f"{path}: line 1: header must be exactly "
+                    f"{','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+                )
         while True:
             columns = None
             if reader is None:
@@ -191,8 +202,7 @@ def load_dataset(path) -> ExpressionTensor:
                 if columns is None:
                     # This chunk's rows, then the rest of the file (or the
                     # read failure), go through csv from here on.
-                    src.put_back()
-                    reader = csv.reader(src.lines())
+                    reader = src.to_csv()
             if columns is None:
                 # Each row's fields, then the row's number in the chunk, go
                 # into one flat list: no per-row list outlives its row (32k
@@ -281,9 +291,11 @@ class _Text:
     it for its lines: blocks of _BLOCK_BYTES, each decoded once, so a
     decoding error reads the same and keeps the same text before it.
 
-    ``text[pos:]`` is the text decoded and not yet taken.  No decoded block
-    but the last ends in a CR: the decoder holds it back, as it may start a
-    CR LF.  A read failure is kept in ``failure`` and raised again by every
+    ``text`` is the text decoded and not yet taken.  ``rows`` takes rows from
+    it, the header's too, and ``to_csv`` hands what ``rows`` last took, the
+    untaken text and the rest of the file over to csv.  No decoded block but
+    the last ends in a CR: the decoder holds it back, as it may start a CR
+    LF.  A read failure is kept in ``failure`` and raised again by every
     later read.
     """
 
@@ -293,10 +305,8 @@ class _Text:
             codecs.getincrementaldecoder("utf-8-sig")(), translate=False
         )
         self.text = ""
-        self.pos = 0
         self.failure = None
         self._taken = []  # the rows' text that rows() last took
-        self._lines = None  # the text file lines() reads from now
 
     def _block(self) -> str:
         """The next decoded block, or "" at the end of the file."""
@@ -312,46 +322,15 @@ class _Text:
             if text or not data:
                 return text
 
-    def lines(self):
-        """An iterator of the untaken text's lines, then the rest of the
-        file's, as a text file yields lines (csv.reader needs whole ones);
-        a read failure is raised after the whole lines before it.
-        ``keep_unread`` then takes only the lines it yielded."""
-        return chain.from_iterable(self._whole_lines())
-
-    def _whole_lines(self):
-        """Yield text files (``io.StringIO``) of the untaken text's whole
-        lines, then of the rest of the file's, a block or so at a time."""
-        while True:
-            text = self.text[self.pos:]
-            end = max(text.rfind("\n"), text.rfind("\r")) + 1
-            self.text, self.pos = text, end
-            self._lines = io.StringIO(text[:end], newline="")
-            yield self._lines
-            # Blocks up to the next line end, joined once.
-            blocks = [text[end:], self._block()]
-            while blocks[-1] and "\n" not in blocks[-1] and "\r" not in blocks[-1]:
-                blocks.append(self._block())
-            self.text, self.pos = "".join(blocks), 0
-            if not blocks[-1]:  # the end of the file, maybe in a line
-                self._lines = io.StringIO(self.text, newline="")
-                self.pos = len(self.text)
-                yield self._lines
-                return
-
-    def keep_unread(self) -> None:
-        """Leave untaken the text after the last line ``lines`` yielded."""
-        self.pos = self._lines.tell()
-
     def rows(self, k) -> tuple[str, int] | None:
         """The next ``k`` rows (fewer at the end of the file), taken, as
         ``(marked, n)``: their text with each line end made the marker field
         ",\\n,", the last row's too, and their number.  Rows end as csv ends
         them outside quotes: at a CR, an LF or a CR LF.  None when the rows
         hold a quote, which reads only as csv reads it, or a read fails;
-        ``put_back`` then returns what was read.  A block is marked only up
-        to its first quote."""
-        self._taken = [self.text[self.pos:]]
+        ``to_csv`` then reads what was taken.  A block is marked only up to
+        its first quote."""
+        self._taken = [self.text]
         marked = []
         n = 0
         while True:
@@ -364,7 +343,6 @@ class _Text:
                 cut = _past_line_end(text, k - n)
                 self._taken[-1], self.text = text[:cut], text[cut:]
                 marked.append(piece[:_past_line_end(piece, k - n) + 1])
-                self.pos = 0
                 return "".join(marked), k
             if quote >= 0:
                 break
@@ -378,17 +356,35 @@ class _Text:
                 if self._taken[-1][-1:] not in ("", "\r", "\n"):
                     marked.append(",\n,")
                     n += 1
-                self.text, self.pos = "", 0
+                self.text = ""
                 return "".join(marked), n
             self._taken.append(piece)
-        self.text, self.pos = "", 0
+        self.text = ""
         return None
 
-    def put_back(self) -> None:
-        """Make the rows last taken the start of the untaken text again."""
-        self._taken.append(self.text[self.pos:])
-        self.text, self.pos = "".join(self._taken), 0
-        self._taken = []
+    def to_csv(self):
+        """A ``csv.reader`` of the rows ``rows`` last took, then of the
+        untaken text and the rest of the file; a read failure is raised after
+        the rows of the whole lines before it."""
+        text = "".join((*self._taken, self.text))
+        self._taken, self.text = [], ""
+        return csv.reader(chain.from_iterable(self._whole_lines(text)))
+
+    def _whole_lines(self, text):
+        """Yield text files (``io.StringIO``) of ``text``'s whole lines, then
+        of the rest of the file's, a block or so at a time: csv.reader needs
+        whole lines, as a text file yields them."""
+        while True:
+            end = max(text.rfind("\n"), text.rfind("\r")) + 1
+            yield io.StringIO(text[:end], newline="")
+            # Blocks up to the next line end, joined once.
+            blocks = [text[end:], self._block()]
+            while blocks[-1] and "\n" not in blocks[-1] and "\r" not in blocks[-1]:
+                blocks.append(self._block())
+            text = "".join(blocks)
+            if not blocks[-1]:  # the end of the file, maybe in a line
+                yield io.StringIO(text, newline="")
+                return
 
 
 def _marked(text) -> tuple[str, int]:

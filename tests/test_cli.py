@@ -620,6 +620,20 @@ class TestFailureClasses:
         assert err.startswith("error: invalid synthetic spec: ")
         assert err.count("invalid synthetic spec") == 1
 
+    @pytest.mark.parametrize("flag, what", [
+        ("coords", "coords file"), ("archive", "archive file"), ("spec", "synthetic spec"),
+    ])
+    def test_deeply_nested_json_is_malformed(
+        self, dataset_csv, tmp_path, capsys, flag, what
+    ):
+        f = Inputs(tmp_path, dataset_csv)
+        deep = f.write("deep.json", b"[" * 200_000)
+        argv = f.generate(spec=deep) if flag == "spec" else f.evaluate(**{flag: deep})
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {what}: {deep}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
     def test_out_file_stops_run_before_ga_work(
         self, dataset_csv, tmp_path, capsys, monkeypatch
     ):

@@ -271,9 +271,13 @@ def csv_texts(draw):
     each row ends in a line terminator of its own."""
     header, rows = draw_lines(draw, GENE_LABELS, CONDITION_LABELS, LEXICAL_TIMES)
     buf = io.StringIO(newline="")
-    for row in ([header] if header is not None else []) + rows:
-        end = draw(st.sampled_from(["\r\n", "\n", "\r"]))
-        csv.writer(buf, lineterminator=end).writerow(row)
+    ends = st.sampled_from(["\r\n", "\n", "\r"])
+    if header is not None:
+        # A quoted header, valid or not, is read by csv from the first row.
+        quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL]))
+        csv.writer(buf, lineterminator=draw(ends), quoting=quoting).writerow(header)
+    for row in rows:
+        csv.writer(buf, lineterminator=draw(ends)).writerow(row)
     return buf.getvalue() + draw(st.sampled_from(("",) * 6 + RAW_TAILS))
 
 
@@ -512,6 +516,22 @@ def csv_rows_read(path, chunk_rows):
     return outcome, rows
 
 
+def readers_built(path, chunk_rows):
+    """The outcome of load_dataset at ``chunk_rows``, and the number of
+    ``csv.reader`` objects it built."""
+    built = []
+    real = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(tensor_io.csv, "reader", counting_reader):
+        outcome = _load_outcome(load_dataset, path)
+    return outcome, len(built)
+
+
 def matches_oracle(path, chunk_rows):
     """The outcome of load_dataset at ``chunk_rows``, checked against the
     row-by-row oracle's."""
@@ -564,7 +584,7 @@ class TestSplitPath:
         path = tmp_path / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
         got, csv_rows = csv_rows_read(path, chunk_rows)
-        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert csv_rows == []
         assert got == _load_outcome(naive.load_dataset_naive, path)
         assert got[0] == (4, 1, 2)
         assert np.frombuffer(got[1]).tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
@@ -585,7 +605,7 @@ class TestSplitPath:
         got, csv_rows = csv_rows_read(path, chunk_rows)
         assert got == _load_outcome(naive.load_dataset_naive, path)
         assert got[3] == tuple(genes) and got[4] == ("x\x1c",)
-        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert csv_rows == []
 
 
 class TestPipeInput:
@@ -619,11 +639,11 @@ class TestSplitPathGuard:
     """A quote-free file must not fall back to csv: that costs a quarter of
     the load time and fails no result."""
 
-    def test_clean_file_sends_only_its_header_through_csv(self, tmp_path):
+    def test_clean_file_sends_nothing_through_csv(self, tmp_path):
         rows = [f"g{i // 10},c{i % 10 // 5},{i % 5},{i / 7!r}" for i in range(1000)]
         path = write_csv(tmp_path / "d.csv", rows)
         got, csv_rows = csv_rows_read(path, 3)
-        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert csv_rows == []
         assert got[0] == (100, 2, 5)
         assert got == _load_outcome(naive.load_dataset_naive, path)
 
@@ -633,8 +653,8 @@ class TestSplitPathGuard:
         rows[3 * (k - 1) + 1] = f'"g{3 * (k - 1) + 1}",x,1,0'
         path = write_csv(tmp_path / "d.csv", rows)
         got, csv_rows = csv_rows_read(path, 3)
-        assert len(csv_rows) == 1 + 30 - 3 * (k - 1)
-        assert csv_rows[1] == rows[3 * (k - 1)].split(",")
+        assert len(csv_rows) == 30 - 3 * (k - 1)
+        assert csv_rows[0] == rows[3 * (k - 1)].split(",")
         assert got == _load_outcome(naive.load_dataset_naive, path)
 
     @pytest.mark.parametrize("fault", ["a,x,1,abc", "", "a,x,1"])
@@ -643,21 +663,22 @@ class TestSplitPathGuard:
         # A bad value, a blank line or a short line as the middle row of
         # chunk k: the chunks before it are split, and its fault is found in
         # the rows csv reads.  The fault's line number is then counted by a
-        # second reader from the top of the file.
+        # second reader from the top of the file, header included.
         rows = [f"g{i},x,1,{i}" for i in range(15)]
         rows[3 * (k - 1) + 1] = fault
         path = write_csv(tmp_path / "d.csv", rows)
         got, csv_rows = csv_rows_read(path, 3)
         header = [list(tensor_io.CSV_HEADER)]
         split = [r.split(",") if r else [] for r in rows]
-        assert csv_rows == header + split[3 * (k - 1):3 * k] + header + split[:3 * k - 1]
+        assert csv_rows == split[3 * (k - 1):3 * k] + header + split[:3 * k - 1]
         assert got == _load_outcome(naive.load_dataset_naive, path)
         assert got[0] is DatasetFormatError and f"line {3 * k}: " in got[1]
 
     @pytest.mark.parametrize("quoted", [0, 50, 2000])
     def test_text_past_the_first_quote_is_not_marked(self, tmp_path, quoted):
         # The quote sends the first chunk through csv, so marking its line
-        # ends past the quote would be wasted.
+        # ends past the quote would be wasted.  The header and the chunk
+        # before the quote are marked, each only up to the quote.
         rows = [f"g{i},x,1,{i}" for i in range(3000)]
         rows[quoted] = f'"g{quoted}",x,1,0'
         path = write_csv(tmp_path / "d.csv", rows)
@@ -671,12 +692,13 @@ class TestSplitPathGuard:
 
         with mock.patch.object(tensor_io, "_marked", recording):
             got = _load_outcome(load_dataset, path)
-        assert "".join(seen) == text[text.index("\n") + 1:text.index('"')]
+        before = text[:text.index('"')]
+        assert seen and all(piece in before for piece in seen)
         assert got == _load_outcome(naive.load_dataset_naive, path)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     @pytest.mark.parametrize("chunk_rows", [3, tensor_io._CHUNK_ROWS])
-    def test_clean_file_builds_only_the_header_reader(self, tmp_path, end, chunk_rows):
+    def test_clean_file_builds_no_reader(self, tmp_path, end, chunk_rows):
         # An exported CSV (CR LF) and its LF copy: if the split path switched
         # off, each chunk would build a reader of its own.
         tensor, _ = generate_synthetic(SyntheticSpec((200, 4, 14), seed=3))
@@ -684,18 +706,9 @@ class TestSplitPathGuard:
         export_csv(tensor, path)
         text = path.read_text(encoding="utf-8").replace("\r\n", end)
         path.write_text(text, encoding="utf-8", newline="")
-        built = []
-        real = csv.reader
-
-        def counting_reader(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        with mock.patch.object(tensor_io, "_CHUNK_ROWS", chunk_rows), \
-                mock.patch.object(tensor_io.csv, "reader", counting_reader):
-            back = load_dataset(path)
-        assert len(built) == 1
-        assert back.values.tobytes() == tensor.values.tobytes()
+        got, built = readers_built(path, chunk_rows)
+        assert built == 0
+        assert got[1] == tensor.values.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(plain_csv_texts(), CHUNK_ROWS)
@@ -743,7 +756,7 @@ class TestLineEnds:
         n_rows = 2 * chunk_rows + 50
         path = write_text(tmp_path / "d.csv", rows_text(n_rows, "\r\n", straddle))
         got, csv_rows = csv_rows_read(path, chunk_rows)
-        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert csv_rows == []
         assert got == _load_outcome(naive.load_dataset_naive, path)
         assert got[0] == (n_rows, 1, 1)
 
@@ -751,7 +764,7 @@ class TestLineEnds:
     def test_last_row_without_line_end_at_exactly_chunk_rows(self, tmp_path, chunk_rows, end):
         text = rows_text(chunk_rows, end)[:-len(end)]
         got, csv_rows = csv_rows_read(write_text(tmp_path / "d.csv", text), chunk_rows)
-        assert csv_rows == [list(tensor_io.CSV_HEADER)]
+        assert csv_rows == []
         assert got == _load_outcome(naive.load_dataset_naive, tmp_path / "d.csv")
         assert got[0] == (chunk_rows, 1, 1)
 
@@ -813,6 +826,56 @@ class TestByteOrderMark:
         else:
             assert got == matches_oracle(plain, chunk_rows)
             assert got[3] == ("a", "b")
+
+
+class TestHeaderRoute:
+    """The header is read as a chunk's row is; any other header goes
+    through csv, which then reads every row after it."""
+
+    @pytest.mark.parametrize("chunk_rows", [2, 3, tensor_io._CHUNK_ROWS])
+    def test_quoted_header_reads_through_csv_from_the_first_row(self, tmp_path, chunk_rows):
+        rows = [f"g{i // 2},x,{i % 2},{i}" for i in range(10)]
+        path = write_csv(tmp_path / "d.csv", rows, header='"gene",condition,time,value')
+        got, csv_rows = csv_rows_read(path, chunk_rows)
+        assert csv_rows == [list(tensor_io.CSV_HEADER)] + [r.split(",") for r in rows]
+        assert readers_built(path, chunk_rows) == (got, 1)
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+        assert got[0] == (5, 1, 2)
+
+    def test_header_past_the_csv_field_limit_fails_as_csv_does(self, tmp_path):
+        # "condition" is 9 characters; every data field is shorter.
+        path = write_csv(tmp_path / "d.csv", ["a,x,1,0.5", "a,x,2,0.6"])
+        limit = csv.field_size_limit(8)
+        try:
+            got = matches_oracle(path, tensor_io._CHUNK_ROWS)
+        finally:
+            csv.field_size_limit(limit)
+        assert got[0] is csv.Error and "field larger than field limit (8)" in got[1]
+
+    @pytest.mark.parametrize("bom", [b"", BOM])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, end, bom):
+        path = tmp_path / "d.csv"
+        path.write_bytes(bom + f"gene,condition,time,value{end}".encode())
+        got = matches_oracle(path, tensor_io._CHUNK_ROWS)
+        assert got == (DatasetFormatError, f"{path}: no data rows")
+
+    @pytest.mark.parametrize("data", [b"", BOM])
+    def test_empty_and_bom_only_files_are_empty(self, tmp_path, data):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        got = matches_oracle(path, tensor_io._CHUNK_ROWS)
+        assert got == (DatasetFormatError, f"{path}: file is empty")
+
+    @pytest.mark.parametrize("offset", [0, 3, 25, 26, 27, 40, 4000])
+    def test_undecodable_byte_in_the_first_block(self, tmp_path, offset):
+        # The first block holds the header, and a text file fails to decode
+        # it before csv reads a row.  TestReadFailure covers the block's end.
+        data = rows_text(1000, "\n").encode()
+        path = tmp_path / "d.csv"
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        got = matches_oracle(path, tensor_io._CHUNK_ROWS)
+        assert got[0] is UnicodeDecodeError
 
 
 class TestTensorInvariants:
