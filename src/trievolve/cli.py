@@ -12,17 +12,25 @@ Subcommands:
 * ``evaluate`` -- score user-supplied coordinates against a dataset and print
                   the fitness breakdown as JSON on stdout.
 
+``run`` min-max normalizes unless ``--no-normalize``; ``evaluate`` does not
+unless ``--normalize``.  So re-scoring a run's entry takes ``evaluate
+--normalize``, the run's ``--seed`` and, as ``--archive``, the entries before
+it; an entry of a ``--genes-limit N`` run re-scores only on a CSV cut to its
+first N genes.
+
 Exit codes:
 
 * 0 success;
 * 2 bad flags (a negative seed or a non-integer ``$TRIEA_SEED`` included;
   reported before ``--input`` is read), a missing, unreadable or malformed
   JSON file (``--coords``, ``--archive``, ``--spec``; JSON true/false and
-  floats are not integers), undersized coordinates, an ``--out`` that cannot
-  be made a directory, or an output file in it that cannot be written;
+  floats are not integers), undersized coordinates, weight flags whose
+  largest reward overflows at the tensor's shape or the coordinates' counts
+  (reported before scoring), an ``--out`` that cannot be made a directory,
+  or an output file in it that cannot be written;
 * 3 a missing, unreadable, undecodable, malformed or undersized ``--input`` CSV,
-  out-of-bounds indices or a non-finite score (values too large to score;
-  JSON has no infinity);
+  out-of-bounds indices or a non-finite score (input values too large to
+  score; JSON has no infinity);
 * 4 empty archive (outputs still written, with a warning);
 * 5 overlapping planted regions.
 
@@ -37,11 +45,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from statistics import fmean
+
+import numpy as np
 
 from . import __version__
 from .engine import Archive, GAConfig, GenerationTrace, _check_dims, run_triea
@@ -136,6 +147,22 @@ def _weights_from_args(args) -> QualityWeights:
         raise _Exit(EXIT_USAGE, str(exc))
 
 
+def _check_reward(weights: QualityWeights, counts) -> None:
+    """Exit 2 when the largest reward a candidate of ``counts`` genes,
+    conditions and times can score, its size reward plus every distinction
+    weight, is not finite: scoring would then overflow whatever the values."""
+    n_g, n_c, n_t = counts
+    reward = n_g * weights.w_g + n_c * weights.w_c + n_t * weights.w_t
+    largest = reward + weights.wd_g + weights.wd_c + weights.wd_t
+    if not math.isfinite(largest):
+        raise _Exit(
+            EXIT_USAGE,
+            f"weights too large: the size reward of {n_g} genes, {n_c} conditions "
+            f"and {n_t} times plus the distinction weights is {largest!r}; "
+            "lower --wg, --wc, --wt, --wdg, --wdc or --wdt",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trievolve",
@@ -181,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=int, default=None,
                     help="imputation seed when the dataset has missing cells")
     ev.add_argument("--normalize", action="store_true",
-                    help="min-max normalize before scoring (off by default)")
+                    help="min-max normalize before scoring (off by default; "
+                         "run normalizes unless --no-normalize, so re-scoring "
+                         "a run's entries needs --normalize and its --seed)")
     _add_weight_flags(ev)
     return parser
 
@@ -293,6 +322,7 @@ def cmd_run(args) -> int:
         _check_dims(tensor.shape)
     except ValueError as exc:
         raise _Exit(EXIT_INPUT, str(exc))
+    _check_reward(config.quality_weights, tensor.shape)
 
     out_dir = _out_dir(args.out)
     started = time.monotonic()
@@ -325,6 +355,8 @@ def cmd_run(args) -> int:
             input_sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
     manifest = {
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "input": str(args.input),
         "input_sha256": input_sha256,
         "genes_limit": args.genes_limit,
@@ -403,6 +435,7 @@ def cmd_evaluate(args) -> int:
             "archive file",
         )
 
+    _check_reward(weights, (coords.n_genes, coords.n_conditions, coords.n_times))
     try:
         breakdown: FitnessBreakdown = fitness(
             tensor, coords, weights, archive, args.slope_mode

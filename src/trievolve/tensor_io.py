@@ -153,22 +153,21 @@ def load_dataset(path) -> ExpressionTensor:
     string of its own.  Rows end at a CR, an LF or a CR LF, as csv ends them
     outside quotes.  While a chunk holds no quote and no field longer than
     the csv field limit, each row's fields are its text less its line end,
-    split on commas, which is what ``csv.reader`` yields for it: each line
-    end becomes the marker field ``",\\n,"`` (in one pass when the chunk's
-    line ends are all LF or all CR LF), the text is split with one
-    ``str.split``, and the chunk is taken when every row has 4 fields and is
-    clean.  The header is read as a one-row chunk and taken when it is
-    exactly the header and its line end.  The first chunk that fails that
-    test (a blank, short or faulty row included), or whose read fails, and a
-    header that is not taken (quoted, wrong, missing or cut off by a read
-    failure) go through ``csv.reader`` as their text followed by the rest of
-    the file, so a quoted field reads as csv reads it, across lines and
-    chunks too, and every fault is found in csv's rows.  A clean file builds
-    no ``csv.reader``.  Reading stops at the first faulty row, and the
-    columns stop before it, so a duplicate among them lies earlier in the
-    file than that row; a read failure lies after both, and the rows before
-    it are the whole lines a text file reads before it.  A leading UTF-8
-    byte-order mark is skipped.
+    split on commas, which is what ``csv.reader`` yields for it: each CR LF
+    and lone CR becomes an LF, each LF the marker field ``",\\n,"``, the text
+    is split with one ``str.split``, and the chunk is taken when every row
+    has 4 fields and is clean.  The header is read as a one-row chunk and
+    taken when it is exactly the header and its line end.  The first chunk
+    that fails that test (a blank, short or faulty row included), or whose
+    read fails, and a header that is not taken (quoted, wrong, missing or
+    cut off by a read failure) go through ``csv.reader`` as their text
+    followed by the rest of the file, so a quoted field reads as csv reads
+    it, across lines and chunks too, and every fault is found in csv's
+    rows.  A clean file builds no ``csv.reader``.  Reading stops at the first
+    faulty row, and the columns stop before it, so a duplicate among them
+    lies earlier in the file than that row; a read failure lies after both,
+    and the rows before it are the whole lines a text file reads before
+    it.  A leading UTF-8 byte-order mark is skipped.
     """
     axes = (_Index(), _Index(), _Index())
     parts = []
@@ -324,12 +323,12 @@ class _Text:
 
     def rows(self, k) -> tuple[str, int] | None:
         """The next ``k`` rows (fewer at the end of the file), taken, as
-        ``(marked, n)``: their text with each line end made the marker field
-        ",\\n,", the last row's too, and their number.  Rows end as csv ends
-        them outside quotes: at a CR, an LF or a CR LF.  None when the rows
-        hold a quote, which reads only as csv reads it, or a read fails;
-        ``to_csv`` then reads what was taken.  A block is marked only up to
-        its first quote."""
+        ``(marked, n)``: their text with each line end made an LF and then
+        the marker field ",\\n,", the last row's too, and their number.  Rows
+        end as csv ends them outside quotes: at a CR, an LF or a CR LF.  None
+        when the rows hold a quote, which reads only as csv reads it, or a
+        read fails; ``to_csv`` then reads what was taken.  A block is marked
+        only up to its first quote."""
         self._taken = [self.text]
         marked = []
         n = 0
@@ -389,17 +388,12 @@ class _Text:
 
 def _marked(text) -> tuple[str, int]:
     """``text`` with each line end (CR, LF or CR LF) made the marker field
-    ",\\n,", and the number of line ends: in one pass when all are LF or
-    all CR LF, which add 2 and 1 characters each."""
-    if "\r" not in text:
-        marked = text.replace("\n", ",\n,")
-        return marked, (len(marked) - len(text)) // 2
-    marked = text.replace("\r\n", ",\n,")
-    crlf = len(marked) - len(text)
-    if "\r" in marked or text.count("\n") != crlf:  # a lone CR or LF
-        marked = text.replace("\r\n", "\n").replace("\r", "\n").replace("\n", ",\n,")
-        return marked, (len(marked) - len(text) + crlf) // 2
-    return marked, crlf
+    ",\\n,", and the number of line ends: every CR LF and lone CR becomes
+    an LF first, and each marked LF adds 2 characters."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    marked = text.replace("\n", ",\n,")
+    return marked, (len(marked) - len(text)) // 2
 
 
 def _past_line_end(text, k) -> int:

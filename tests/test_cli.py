@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import platform
 from pathlib import Path
 from statistics import fmean
 
@@ -111,6 +112,17 @@ class TestRun:
             "mean_msr": fmean([e["msr"] for e in entries]),
         }
 
+    def test_manifest_names_the_numpy_and_python_builds(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--seed", "3", "--generations", "2", "--n-triclusters", "1",
+        ])
+        assert code == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
+
     def test_pipe_input_digest_null(self, dataset_csv, tmp_path):
         # The load drains the pipe; hashing it again would read zero bytes.
         out = tmp_path / "out"
@@ -213,6 +225,27 @@ class TestRun:
         assert "run 1 scored a non-finite msr = inf" in capsys.readouterr().err
         assert not (out / "triclusters.json").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_overflowing_weights_exit_2_before_ga_work(
+        self, dataset_csv, tmp_path, capsys, monkeypatch
+    ):
+        # 12 genes and 4 conditions at 1e308 each overflow the size reward
+        # whatever the values, so the flags are at fault, not the input.
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran")
+
+        monkeypatch.setattr(cli, "run_triea", no_ga)
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--wg", "1e308", "--wc", "1e308",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights too large: ")
+        assert "--wg, --wc, --wt, --wdg, --wdc or --wdt" in err
+        assert err.count("\n") == 1
+        assert not (out / "triclusters.json").exists()
 
     def test_genes_limit(self, dataset_csv, tmp_path):
         out = tmp_path / "out"
@@ -391,6 +424,65 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite score msr = inf" in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--wg", "1e308", "--wc", "1e308"],
+        # A finite size reward that overflows with the distinction weights.
+        ["--wg", "5e307", "--wdg", "1.7e308"],
+    ])
+    def test_overflowing_weights_exit_2(self, dataset_csv, tmp_path, capsys, flags):
+        coords_path = tmp_path / "c.json"
+        coords_path.write_text(json.dumps(
+            {"genes": [0, 1, 2], "conditions": [0, 1], "times": [0, 1, 2]}
+        ))
+        code = main([
+            "evaluate", "--input", str(dataset_csv), "--coords", str(coords_path), *flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: weights too large: the size reward of 3 genes, 2 conditions "
+            "and 3 times plus the distinction weights is inf; "
+            "lower --wg, --wc, --wt, --wdg, --wdc or --wdt\n"
+        )
+        assert captured.err.count("\n") == 1
+
+    def test_rescoring_a_run_reproduces_its_archive(self, tmp_path, capsys):
+        # Blanked values make the run impute; evaluate must normalize and
+        # impute with the run's seed, and see the entries archived before.
+        tensor, _ = generate_synthetic(SyntheticSpec(dims=(12, 4, 5), seed=21))
+        path = tmp_path / "blanked.csv"
+        export_csv(tensor, path)
+        lines = path.read_bytes().split(b"\r\n")
+        for row in (3, 17, 58, 140):
+            lines[row] = lines[row].rsplit(b",", 1)[0] + b","
+        path.write_bytes(b"\r\n".join(lines))
+        assert load_dataset(path).n_missing() == 4
+        out = tmp_path / "out"
+        assert main([
+            "run", "--input", str(path), "--out", str(out), "--seed", "7",
+            "--generations", "4", "--n-triclusters", "3",
+        ]) == 0
+        capsys.readouterr()
+        entries = read_json(out / "triclusters.json")["entries"]
+        assert len(entries) == 3
+        keys = ("msr", "lsl", "weights", "distinction", "f")
+        for i, entry in enumerate(entries):
+            coords_path = tmp_path / f"coords_{i}.json"
+            coords_path.write_text(json.dumps(
+                {axis: entry[axis] for axis in ("genes", "conditions", "times")}
+            ))
+            argv = ["evaluate", "--input", str(path), "--coords", str(coords_path),
+                    "--normalize", "--seed", "7"]
+            if i:
+                archive_path = tmp_path / f"archive_{i}.json"
+                archive_path.write_text(json.dumps({"entries": entries[:i]}))
+                argv += ["--archive", str(archive_path)]
+            assert main(argv) == 0
+            got = json.loads(capsys.readouterr().out)
+            # JSON floats round-trip, so equal reprs are equal bits.
+            assert [repr(got[k]) for k in keys] == [repr(entry[k]) for k in keys]
 
     def test_constant_region_zero_weights(self, tmp_path, capsys):
         values = np.full((4, 3, 3), 0.5)

@@ -6,7 +6,7 @@ import math
 import tempfile
 import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import cycle, product
 from pathlib import Path
 from unittest import mock
 
@@ -723,13 +723,15 @@ class TestSplitPathGuard:
 
 def rows_text(n_rows, end, straddle=()):
     """A header and ``n_rows`` clean rows ``g<i>,x,1,<i>``, each ending in
-    ``end``.  Each data row (0-based) in ``straddle`` gets its gene label
-    padded so that its line end starts at the last byte of a decoded block:
-    a CR LF is split between two blocks.  The text is ASCII."""
+    ``end``, or in the ends of the tuple ``end`` in turn from the header on.
+    Each data row (0-based) in ``straddle`` gets its gene label padded so
+    that its line end starts at the last byte of a decoded block: a CR LF is
+    split between two blocks.  The text is ASCII."""
     block = tensor_io._BLOCK_BYTES
-    parts = [",".join(tensor_io.CSV_HEADER) + end]
+    ends = cycle((end,) if isinstance(end, str) else end)
+    parts = [",".join(tensor_io.CSV_HEADER) + next(ends)]
     size = len(parts[0])
-    for i in range(n_rows):
+    for i, end in zip(range(n_rows), ends):
         row = f"g{i},x,1,{i}"
         if i in straddle:
             pad = -(size + len(row) + 1) % block
@@ -768,6 +770,19 @@ class TestLineEnds:
         assert got == _load_outcome(naive.load_dataset_naive, tmp_path / "d.csv")
         assert got[0] == (chunk_rows, 1, 1)
 
+    def test_cycled_line_ends_across_blocks_and_chunk_cuts(self, tmp_path, chunk_rows):
+        # Rows end in LF, CR LF and lone CR in turn.  Each kind of end starts
+        # at the last byte of a decoded block twice, as do the ends of the
+        # first two chunks' last rows.
+        straddle = {0, 1, 2, 3, 4, 5, chunk_rows - 1, 2 * chunk_rows - 1}
+        n_rows = 2 * chunk_rows + 50
+        text = rows_text(n_rows, ("\n", "\r\n", "\r"), straddle)
+        path = write_text(tmp_path / "d.csv", text)
+        got, csv_rows = csv_rows_read(path, chunk_rows)
+        assert csv_rows == []
+        assert got == _load_outcome(naive.load_dataset_naive, path)
+        assert got[0] == (n_rows, 1, 1)
+
     def test_cr_cr_lf_ends_a_row_and_a_blank_row(self, tmp_path, chunk_rows):
         text = rows_text(10, "\r\n").replace("g4,x,1,4\r\n", "g4,x,1,4\r\r\n")
         path = write_text(tmp_path / "d.csv", text)
@@ -779,6 +794,25 @@ class TestLineEnds:
         path = write_text(tmp_path / "d.csv", text)
         got = matches_oracle(path, chunk_rows)
         assert got == (DatasetFormatError, f"{path}: line 6: expected 4 fields, got 1")
+
+
+class TestMarked:
+    """``_marked`` makes every line end one marker field and counts them."""
+
+    @pytest.mark.parametrize("text, marked, ends", [
+        ("", "", 0),
+        ("a,b", "a,b", 0),
+        ("a,b\nc,d\n", "a,b,\n,c,d,\n,", 2),
+        ("a,b\r\nc,d\r\n", "a,b,\n,c,d,\n,", 2),
+        ("a,b\rc,d\r", "a,b,\n,c,d,\n,", 2),
+        ("a\nb\r\nc\rd", "a,\n,b,\n,c,\n,d", 3),
+        ("a\r\r\nb\n\rc", "a,\n,,\n,b,\n,,\n,c", 4),
+        ("a\nb\r", "a,\n,b,\n,", 2),
+        ("\r", ",\n,", 1),
+    ], ids=["empty", "no-end", "lf", "crlf", "cr", "mixed", "cr-crlf-lf-cr", "ends-in-cr",
+            "lone-cr"])
+    def test_marks_and_counts_line_ends(self, text, marked, ends):
+        assert tensor_io._marked(text) == (marked, ends)
 
 
 class TestReadFailure:
