@@ -49,6 +49,7 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
 from statistics import fmean
 
@@ -63,8 +64,10 @@ from .quality import (
     SizePreconditionError,
     TriclusterCoords,
     _check_bounds,
+    _check_finite_reward,
     _integer,
     fitness,
+    jaccard_cells,
 )
 from .tensor_io import (
     DatasetFormatError,
@@ -149,18 +152,11 @@ def _weights_from_args(args) -> QualityWeights:
 
 def _check_reward(weights: QualityWeights, counts) -> None:
     """Exit 2 when the largest reward a candidate of ``counts`` genes,
-    conditions and times can score, its size reward plus every distinction
-    weight, is not finite: scoring would then overflow whatever the values."""
-    n_g, n_c, n_t = counts
-    reward = n_g * weights.w_g + n_c * weights.w_c + n_t * weights.w_t
-    largest = reward + weights.wd_g + weights.wd_c + weights.wd_t
-    if not math.isfinite(largest):
-        raise _Exit(
-            EXIT_USAGE,
-            f"weights too large: the size reward of {n_g} genes, {n_c} conditions "
-            f"and {n_t} times plus the distinction weights is {largest!r}; "
-            "lower --wg, --wc, --wt, --wdg, --wdc or --wdt",
-        )
+    conditions and times can score is not finite (``_check_finite_reward``)."""
+    try:
+        _check_finite_reward(weights, counts)
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, f"{exc}; lower --wg, --wc, --wt, --wdg, --wdc or --wdt")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,6 +245,24 @@ def _archive_payload(archive: Archive, tensor: ExpressionTensor) -> dict:
         record.update(entry.breakdown.to_dict())
         entries.append(record)
     return {"entries": entries}
+
+
+def _archive_overlap(archive: Archive, shape) -> dict:
+    """How much of the tensor the entries cover and how they overlap: the
+    share of cells inside any entry, the mean and largest 3D Jaccard over
+    all pairs (None below two entries) and the entries equal to an earlier
+    one."""
+    coords = [entry.coords for entry in archive]
+    covered = np.zeros(shape, dtype=bool)
+    for c in coords:
+        covered[np.ix_(c.genes, c.conditions, c.times)] = True
+    pairs = [jaccard_cells(a, b) for a, b in combinations(coords, 2)]
+    return {
+        "cell_coverage": np.count_nonzero(covered) / covered.size,
+        "jaccard_mean": fmean(pairs) if pairs else None,
+        "jaccard_max": max(pairs) if pairs else None,
+        "duplicates": len(coords) - len(set(coords)),
+    }
 
 
 def _write_trace(path: Path, trace: GenerationTrace) -> None:
@@ -367,6 +381,7 @@ def cmd_run(args) -> int:
             "count": len(archive),
             "mean_lsl": fmean(e.breakdown.lsl for e in archive) if archive else None,
             "mean_msr": fmean(e.breakdown.msr for e in archive) if archive else None,
+            **_archive_overlap(archive, tensor.shape),
         },
         "runs": runs,
     }

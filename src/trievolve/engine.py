@@ -40,6 +40,7 @@ from .quality import (
     TriclusterCoords,
     fitness,
     _check_bounds,
+    _check_finite_reward,
     _choice,
     _integer,
     _nonnegative,
@@ -377,8 +378,11 @@ def run_triea(tensor, config: GAConfig) -> Archive:
 
     A run failing the threshold guard stores nothing but still consumes its
     iteration, so the archive may end up smaller than ``n_triclusters``;
-    its ``runs`` keep all ``n_triclusters`` traces in run order.
+    its ``runs`` keep all ``n_triclusters`` traces in run order.  Weights
+    whose largest reward at the tensor's shape overflows are a ValueError,
+    raised before any draw.
     """
+    _check_finite_reward(config.quality_weights, _values(tensor).shape)
     rng = np.random.default_rng(config.seed)
     archive = Archive()
     for _ in range(config.n_triclusters):

@@ -391,7 +391,10 @@ def _marked(text) -> tuple[str, int]:
     ",\\n,", and the number of line ends: every CR LF and lone CR becomes
     an LF first, and each marked LF adds 2 characters."""
     if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # Each CR LF, then each lone CR, made an LF in one C pass: the
+        # newline translation of ``io.StringIO``.  ``final`` translates a
+        # trailing CR rather than holding it back for an LF.
+        text = io.IncrementalNewlineDecoder(None, True).decode(text, True)
     marked = text.replace("\n", ",\n,")
     return marked, (len(marked) - len(text)) // 2
 

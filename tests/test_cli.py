@@ -3,7 +3,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import platform
+from itertools import combinations, product
 from pathlib import Path
 from statistics import fmean
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trievolve import (
+    Archive,
     GAConfig,
     QualityWeights,
     SyntheticSpec,
@@ -48,6 +51,21 @@ def huge_csv(tmp_path_factory):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def overlap_of(entries, shape) -> dict:
+    """The manifest's archive overlap fields, from the entries' cell sets."""
+    cells = [
+        set(product(e["genes"], e["conditions"], e["times"])) for e in entries
+    ]
+    pairs = [len(a & b) / len(a | b) for a, b in combinations(cells, 2)]
+    keys = [(tuple(e["genes"]), tuple(e["conditions"]), tuple(e["times"])) for e in entries]
+    return {
+        "cell_coverage": len(set().union(*cells)) / math.prod(shape),
+        "jaccard_mean": fmean(pairs) if pairs else None,
+        "jaccard_max": max(pairs) if pairs else None,
+        "duplicates": sum(key in keys[:k] for k, key in enumerate(keys)),
+    }
 
 
 class TestRun:
@@ -110,6 +128,36 @@ class TestRun:
             "count": len(entries),
             "mean_lsl": fmean([e["lsl"] for e in entries]),
             "mean_msr": fmean([e["msr"] for e in entries]),
+            **overlap_of(entries, (12, 4, 5)),
+        }
+
+    def test_manifest_archive_overlap_recomputed_from_entries(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--seed", "5", "--generations", "4", "--n-triclusters", "6",
+        ])
+        assert code == 0
+        entries = read_json(out / "triclusters.json")["entries"]
+        archive = read_json(out / "manifest.json")["archive"]
+        assert len(entries) >= 2
+        want = overlap_of(entries, (12, 4, 5))
+        assert archive["jaccard_mean"] == pytest.approx(want.pop("jaccard_mean"), rel=1e-12)
+        for key, value in want.items():
+            assert archive[key] == value, key
+
+    def test_archive_overlap_counts_partial_cover_and_duplicates(self):
+        # Two equal 2x2x2 entries and one shifted by a gene, in a 4x2x3
+        # tensor: 12 of 24 cells covered, pair overlaps 1, 1/3 and 1/3.
+        archive = Archive()
+        for genes in ((0, 1), (0, 1), (1, 2)):
+            archive.add(TriclusterCoords(genes, (0, 1), (0, 1)), None)
+        overlap = cli._archive_overlap(archive, (4, 2, 3))
+        assert overlap == {
+            "cell_coverage": 0.5,
+            "jaccard_mean": pytest.approx(5 / 9, rel=1e-12),
+            "jaccard_max": 1.0,
+            "duplicates": 1,
         }
 
     def test_manifest_names_the_numpy_and_python_builds(self, dataset_csv, tmp_path):
@@ -145,7 +193,10 @@ class TestRun:
         ])
         assert code == 4
         archive = read_json(out / "manifest.json")["archive"]
-        assert archive == {"count": 0, "mean_lsl": None, "mean_msr": None}
+        assert archive == {
+            "count": 0, "mean_lsl": None, "mean_msr": None, "cell_coverage": 0.0,
+            "jaccard_mean": None, "jaccard_max": None, "duplicates": 0,
+        }
 
     def test_byte_identical_reruns(self, dataset_csv, tmp_path):
         outs = []

@@ -540,6 +540,26 @@ class TestRunTriea:
             assert e1.coords == e2.coords
             assert e1.breakdown == e2.breakdown
 
+    @pytest.mark.parametrize("weights", [
+        QualityWeights(w_g=1e308, w_c=1e308),  # the size reward is inf
+        QualityWeights(wd_g=1e308, wd_c=1e308),  # only the distinction sum overflows
+    ], ids=["size", "distinction"])
+    def test_overflowing_weights_raise_before_ga_work(
+        self, small_tensor, monkeypatch, weights
+    ):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("the GA ran")
+
+        monkeypatch.setattr(engine, "init_population", no_ga)
+        config = GAConfig(quality_weights=weights, generations=2, n_triclusters=1)
+        with pytest.raises(ValueError, match="^weights too large: the size reward of "
+                           "15 genes, 5 conditions and 6 times plus the distinction "
+                           "weights is inf$"):
+            run_triea(small_tensor, config)
+        # Finite weights reach the patched initialisation.
+        with pytest.raises(AssertionError, match="the GA ran"):
+            run_triea(small_tensor, GAConfig(generations=2, n_triclusters=1))
+
     def test_distinction_uses_running_archive(self, small_tensor):
         # once the archive covers coordinates, later candidates repeating them
         # earn less distinction; verify via the stored breakdowns

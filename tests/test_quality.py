@@ -162,6 +162,45 @@ class TestSubtensor:
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous
 
+    # (shape, genes, conditions, times, the take that runs first).  The
+    # columns go first when n_g * k <= g * n_c * n_t, k the (condition,
+    # time) columns kept and g the genes; a case with every condition and
+    # time takes only gene rows.
+    GATHER_CASES = {
+        "columns-first": ((10, 4, 5), range(8), (0, 2), range(5), "columns"),
+        "rows-first": ((10, 4, 5), (1, 7), (0, 1, 3), range(5), "rows"),
+        "equal-cells": ((10, 4, 5), range(0, 10, 2), (1, 2), range(5), "columns"),
+        "conditions-cut-columns": ((6, 4, 3), range(5), (0, 3), range(3), "columns"),
+        "conditions-cut-rows": ((6, 4, 3), (2,), (0, 1, 3), range(3), "rows"),
+        "times-cut-columns": ((6, 3, 5), range(1, 6), range(3), (1, 4), "columns"),
+        "times-cut-rows": ((6, 3, 5), (0, 5), range(3), (0, 1, 2, 4), "rows"),
+        "two-wide-cut-columns": ((4, 2, 2), (0, 2, 3), (1,), (0, 1), "columns"),
+        "two-wide-cut-rows": ((9, 2, 2), (4,), (0, 1), (1,), "rows"),
+        "two-wide-full": ((5, 2, 2), (1, 3), (0, 1), (0, 1), "skip"),
+        "skip": ((10, 4, 5), (0, 3, 9), range(4), range(5), "skip"),
+    }
+
+    @pytest.mark.parametrize("layout", ["c", "offset-1e6", "transposed"])
+    @pytest.mark.parametrize("case", GATHER_CASES.values(), ids=GATHER_CASES)
+    def test_either_take_order_matches_ix_gather(self, rng, case, layout):
+        shape, genes, conditions, times, first = case
+        n_g, n_c, n_t = shape
+        k = len(conditions) * len(times)
+        if k == n_c * n_t:
+            assert first == "skip"
+        else:
+            assert first == ("columns" if n_g * k <= len(genes) * n_c * n_t else "rows")
+        if layout == "transposed":
+            values = rng.random(shape[::-1]).T
+        else:
+            values = rng.random(shape) + (1e6 if layout == "offset-1e6" else 0.0)
+        coords = TriclusterCoords(genes, conditions, times)
+        got = _subtensor(values, coords)
+        want = values[np.ix_(coords.genes, coords.conditions, coords.times)]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        assert not np.shares_memory(got, values)
+
     def test_out_of_bounds(self):
         with pytest.raises(IndexError):
             _subtensor(np.zeros((3, 3, 3)), TriclusterCoords((0, 1), (0, 3), (0,)))

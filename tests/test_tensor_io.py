@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trievolve import (
@@ -813,6 +813,18 @@ class TestMarked:
             "lone-cr"])
     def test_marks_and_counts_line_ends(self, text, marked, ends):
         assert tensor_io._marked(text) == (marked, ends)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet='a,\r\n"', max_size=40))
+    @example("a\r")
+    @example("\r\r\n")
+    @example("\n\r")
+    @example('"a\r\n\r\r"\n\r')
+    def test_matches_the_replace_chain(self, text):
+        # The line-end translation as two str.replace calls, CR LF first.
+        lf = text.replace("\r\n", "\n").replace("\r", "\n")
+        marked = lf.replace("\n", ",\n,")
+        assert tensor_io._marked(text) == (marked, lf.count("\n"))
 
 
 class TestReadFailure:
