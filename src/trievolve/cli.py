@@ -234,6 +234,13 @@ def _non_finite_score(breakdown: FitnessBreakdown) -> str | None:
     return None
 
 
+def _ratio(value: float, threshold: float) -> float | None:
+    """``value / threshold``; None for a zero threshold or a ratio past the
+    float range (JSON has no infinity)."""
+    ratio = value / threshold if threshold else math.inf
+    return ratio if math.isfinite(ratio) else None
+
+
 def _archive_payload(archive: Archive, tensor: ExpressionTensor) -> dict:
     entries = []
     for entry in archive:
@@ -355,10 +362,13 @@ def cmd_run(args) -> int:
     for index, trace in enumerate(archive.runs, 1):
         _write_trace(out_dir / f"trace_{index}.csv", trace)
         best = trace.records[-1].best
+        accepted = config.accepts(best)
         runs.append({
             "index": index,
-            "accepted": config.accepts(best),
+            "accepted": accepted,
+            "reason": None if accepted else "lsl",
             "best_lsl": best.lsl,
+            "best_lsl_over_delta": _ratio(best.lsl, config.delta),
             "evaluations": trace.evaluations,
             "memo_hits": trace.memo_hits,
         })

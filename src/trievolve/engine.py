@@ -275,10 +275,14 @@ def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
     in row order; when no row needs repair the input itself comes back and
     nothing is drawn.
     """
+    # A segment under 2 bits wide can never hold 2, and reduceat would count
+    # an empty one as the next segment's first bit.
+    _check_dims(dims)
     rows = bits.reshape(-1, bits.shape[-1])
-    counts = np.stack(
-        [np.count_nonzero(seg, axis=1) for seg in _segments(rows, dims)], axis=1
-    )
+    _segments(rows, dims)  # for its length check
+    x, y, _ = dims
+    # One call counts every row's set bits per segment (bool sums to int).
+    counts = np.add.reduceat(rows, (0, x, x + y), axis=1)
     short = np.flatnonzero(counts.min(axis=1) < 2)
     if not short.size:
         return bits
@@ -336,7 +340,9 @@ def evolve_one_tricluster(
     children.  So every generation's best is the best so far and the final
     one is returned.
     """
-    values = _values(tensor)
+    # One C-ordered copy per run at most: on any other layout, every
+    # candidate's gather would copy the whole tensor to reshape it.
+    values = np.ascontiguousarray(_values(tensor))
     dims = values.shape
     _check_dims(dims)
     if rng is None:

@@ -30,6 +30,14 @@ means; each LSL slope is one pairwise sum's product with the centred x
 positions.  Given ``(tensor, coords)``, ``msr3d`` and ``lsl`` gather their
 own block.
 
+Every sum and dot product is one call of numpy's einsum C entry,
+``c_einsum``, bound once at import.  ``np.einsum`` without an ``optimize``
+path makes this same call after its ``__array_function__`` dispatch and its
+Python wrapper, which on a candidate's small operands cost about as much as
+the sum itself, eleven times a candidate.  Calling it directly skips them
+and runs the same C loops on the same operands, so every score keeps its
+bits.
+
 All functions are pure and operate on immutable inputs, so evaluating many
 candidates concurrently against one shared tensor is safe.  ``tensor``
 arguments accept either an :class:`~trievolve.tensor_io.ExpressionTensor` or
@@ -43,6 +51,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy 1.x, where importing numpy.core does not warn
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 MODE_OLS = "ols"
 MODE_PAPER_LITERAL = "paper-literal"
@@ -227,7 +240,10 @@ def _block(tensor, coords: TriclusterCoords | None) -> _Block:
     # einsum sums a short or strided axis several times faster than
     # ``sum(axis=...)``.  Unlike BLAS products, it rounds the same whatever
     # the thread count, so scores do not depend on the machine's cores.
-    sums = (np.einsum(f"gct->{axes}", sub) for axes in ("gc", "gt", "ct"))
+    # ``_c_einsum`` is the C function ``np.einsum`` returns from when no
+    # optimize path is asked for: the same sums, bit for bit, without the
+    # dispatch and wrapper in front of it.
+    sums = (_c_einsum(f"gct->{axes}", sub) for axes in ("gc", "gt", "ct"))
     return _Block(sub, *sums)
 
 
@@ -239,7 +255,7 @@ def _residual(b: _Block) -> np.ndarray:
     m_gc, m_gt, m_ct = b.s_gc / n_t, b.s_gt / n_c, b.s_ct / n_g
     # The ufuncs are called directly: ``ndarray.sum`` and ``-=`` wrap the
     # same calls in more Python.
-    m_g = np.einsum("gc->g", m_gc) / n_c
+    m_g = _c_einsum("gc->g", m_gc) / n_c
     m_c, m_t = np.add.reduce(m_ct, 1) / n_t, np.add.reduce(m_ct, 0) / n_c
     r = b.sub
     np.subtract(r, (m_gc - m_g[:, None])[:, :, None], out=r)
@@ -255,7 +271,7 @@ def msr3d(tensor, coords: TriclusterCoords | None = None) -> float:
     measure is invariant under constant shifts and scales quadratically.
     """
     r = _residual(_block(tensor, coords))
-    return float(np.einsum("gct,gct->", r, r)) / r.size
+    return float(_c_einsum("gct,gct->", r, r)) / r.size
 
 
 def _slopes(ys: np.ndarray, replication: int) -> np.ndarray:
@@ -265,7 +281,7 @@ def _slopes(ys: np.ndarray, replication: int) -> np.ndarray:
     # squares n * (n*n - 1) / 12, which that closed form gives bit for bit.
     n = ys.shape[1]
     xc = np.arange(-(n - 1) / 2, n / 2)
-    return np.einsum("lx,x->l", ys, xc) / (replication * (n * (n * n - 1) / 12))
+    return _c_einsum("lx,x->l", ys, xc) / (replication * (n * (n * n - 1) / 12))
 
 
 def _view_slopes(b: _Block, ols: bool) -> tuple[np.ndarray, ...]:
@@ -281,10 +297,12 @@ def _mean_pairwise_distance(s: np.ndarray) -> float:
     # Sum of |s_i - s_j| over ordered pairs, divided by (n-1)*n: the k-th
     # smallest (0-based) enters with a net weight of 2k - n + 1.  Shifting
     # by the smallest keeps a large common offset out of the weighted sum.
+    # ``s`` is sorted and shifted in place: ``lsl`` hands over fresh slopes,
+    # and ``s.sort()`` is the quicksort ``np.sort`` runs after a copy.
     n = s.size
-    s = np.sort(s)
+    s.sort()
     s -= s[0]
-    return 2.0 * float(np.einsum("k,k->", np.arange(1 - n, n, 2.0), s)) / ((n - 1) * n)
+    return 2.0 * float(_c_einsum("k,k->", np.arange(1 - n, n, 2.0), s)) / ((n - 1) * n)
 
 
 def lsl(tensor, coords: TriclusterCoords | None = None, mode: str = MODE_OLS) -> float:

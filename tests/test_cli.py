@@ -114,6 +114,29 @@ class TestRun:
         assert [(r["index"], r["accepted"]) for r in runs] == [(1, False), (2, False)]
         assert all(r["best_lsl"] >= 0.0 for r in runs)
 
+    @pytest.mark.parametrize("delta", ["1050", "0", "1e-320"])
+    def test_manifest_run_reason_and_lsl_over_delta(self, dataset_csv, tmp_path, delta):
+        # On normalised input every best LSL clears the default delta, none
+        # clears 0, and against a subnormal delta the ratio overflows.
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--seed", "1", "--generations", "3", "--n-triclusters", "2",
+            "--delta", delta,
+        ])
+        assert code == (0 if delta == "1050" else 4)
+        runs = read_json(out / "manifest.json")["runs"]
+        for r in runs:
+            assert r["accepted"] == (delta == "1050")
+            assert r["reason"] == (None if r["accepted"] else "lsl")
+            assert r["best_lsl"] > 0.0
+            want = r["best_lsl"] / 1050.0 if r["accepted"] else None
+            assert r["best_lsl_over_delta"] == want
+        assert list(runs[0]) == [
+            "index", "accepted", "reason", "best_lsl", "best_lsl_over_delta",
+            "evaluations", "memo_hits",
+        ]
+
     def test_manifest_digest_and_archive_means(self, dataset_csv, tmp_path):
         out = tmp_path / "out"
         code = main([

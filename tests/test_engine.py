@@ -346,6 +346,11 @@ class TestRepair:
         # other segments untouched
         np.testing.assert_array_equal(out[5:], ch[5:])
 
+    @pytest.mark.parametrize("dims", [(4, 1, 3), (4, 3, 0)], ids=["1-wide", "0-wide"])
+    def test_segment_too_narrow_to_hold_two_bits(self, dims):
+        with pytest.raises(ValueError, match=r"needs length >= 2, got \(4, "):
+            repair(np.ones(sum(dims), bool), dims, np.random.default_rng(0))
+
     def test_random_degenerates_become_decodable(self, rng):
         for _ in range(1000):
             ch = rng.random(14) < 0.15
@@ -559,6 +564,41 @@ class TestRunTriea:
         # Finite weights reach the patched initialisation.
         with pytest.raises(AssertionError, match="the GA ran"):
             run_triea(small_tensor, GAConfig(generations=2, n_triclusters=1))
+
+    def test_other_layouts_score_one_c_ordered_copy_per_run(
+        self, small_tensor, monkeypatch
+    ):
+        # Each gather reshapes the values, which copies a whole tensor that
+        # is not C-ordered: a run makes the copy once, before any scoring,
+        # and the results keep their bits.
+        score = engine.fitness
+        seen = []
+
+        def recording(values, *args):
+            seen.append(values)
+            return score(values, *args)
+
+        def float_bytes(archive):
+            # The float64 bytes of every entry's and record's scores.
+            records = [r for t in archive.runs for r in t.records]
+            breakdowns = [e.breakdown for e in archive] + [r.best for r in records]
+            floats = [x for b in breakdowns for x in dataclasses.astuple(b)]
+            return np.array(floats + [r.mean_f for r in records]).tobytes()
+
+        monkeypatch.setattr(engine, "fitness", recording)
+        config = GAConfig(generations=4, n_triclusters=3, seed=2)
+        values = small_tensor.values
+        want = run_triea(values, config)
+        assert seen and all(v is values for v in seen)
+        seen.clear()
+        got = run_triea(np.asfortranarray(values), config)
+        assert seen and all(v.flags.c_contiguous for v in seen)
+        assert len({id(v) for v in seen}) == config.n_triclusters
+        assert [e.coords for e in got] == [e.coords for e in want]
+        assert [(t.evaluations, t.memo_hits) for t in got.runs] == [
+            (t.evaluations, t.memo_hits) for t in want.runs
+        ]
+        assert float_bytes(got) == float_bytes(want)
 
     def test_distinction_uses_running_archive(self, small_tensor):
         # once the archive covers coordinates, later candidates repeating them

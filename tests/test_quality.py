@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -660,3 +664,60 @@ class TestFitness:
     def test_roundtrips_through_dict(self):
         b = FitnessBreakdown.compose(1.5, 0.25, 0.6, 0.05)
         assert FitnessBreakdown(**b.to_dict()) == b
+
+
+class TestEinsumEntry:
+    """``quality`` calls numpy's einsum C entry itself.  ``np.einsum``
+    without an optimize path returns the same call, so every subscript
+    ``quality`` passes must give the same bytes through either."""
+
+    # Each subscript with operand shapes holding a 2-wide axis, as a
+    # candidate's block can; "lx,x->l" reads a transposed (x, l) sum, as
+    # ``_view_slopes`` passes the gene-time and gene-condition sums.
+    BLOCK_SHAPES = ((2, 5, 7), (9, 2, 6), (8, 4, 2), (30, 2, 14))
+    CASES = {
+        "gct->gc": BLOCK_SHAPES,
+        "gct->gt": BLOCK_SHAPES,
+        "gct->ct": BLOCK_SHAPES,
+        "gc->g": ((2, 4), (30, 2), (9, 7)),
+        "gct,gct->": BLOCK_SHAPES,
+        "lx,x->l": ((2, 14), (30, 2), (9, 7)),
+        "k,k->": ((2,), (14,), (200,)),
+    }
+
+    @staticmethod
+    def operands(subscripts, shape, offset, rng):
+        if subscripts == "lx,x->l":
+            ys = (rng.random(shape[::-1]) + offset).T
+            assert not ys.flags.c_contiguous
+            n = shape[1]
+            return ys, np.arange(-(n - 1) / 2, n / 2)
+        if subscripts == "k,k->":
+            n = shape[0]
+            return np.arange(1 - n, n, 2.0), rng.random(n) + offset
+        x = rng.random(shape) + offset
+        return (x, x) if "," in subscripts else (x,)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("subscripts", list(CASES))
+    def test_bytes_match_np_einsum(self, subscripts, offset):
+        rng = np.random.default_rng(28)
+        for shape in self.CASES[subscripts]:
+            for _ in range(5):
+                ops = self.operands(subscripts, shape, offset, rng)
+                got = np.asarray(quality._c_einsum(subscripts, *ops))
+                want = np.asarray(np.einsum(subscripts, *ops))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (subscripts, shape)
+
+    def test_import_warns_nothing(self):
+        # numpy 2 warns on any import of numpy.core, so on numpy 2 the
+        # numpy._core path must be the one taken.
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "import trievolve.quality"],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
