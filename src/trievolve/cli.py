@@ -6,7 +6,11 @@ Subcommands:
                   has scored finite, writes triclusters.json, then
                   trace_1.csv ... trace_N.csv (one per run), then
                   manifest.json, whose ``input_sha256`` is null for an
-                  input that is not a regular file, such as a pipe.
+                  input that is not a regular file, such as a pipe, and
+                  whose ``seconds`` hold the wall time of each step:
+                  ``load`` (with ``--genes-limit``), ``preprocess``
+                  (normalise and impute), ``mine`` and ``write``
+                  (triclusters.json and the traces).
 * ``generate`` -- build a synthetic tensor with planted regions from a JSON
                   spec; writes the tensor CSV plus ground_truth.json.
 * ``evaluate`` -- score user-supplied coordinates against a dataset and print
@@ -220,6 +224,14 @@ def _writing(path: Path):
         raise _Exit(EXIT_USAGE, f"cannot write {path}: {_reason(exc)}")
 
 
+@contextmanager
+def _timed(seconds: dict, step: str):
+    """Sets ``seconds[step]`` to the wall seconds the block took."""
+    start = time.perf_counter()
+    yield
+    seconds[step] = time.perf_counter() - start
+
+
 def _write_json(path: Path, payload) -> None:
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
@@ -333,12 +345,15 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, str(exc))
 
-    tensor = _load(args.input)
-    if args.genes_limit is not None:
-        tensor = limit_genes(tensor, args.genes_limit)
-    if not args.no_normalize:
-        tensor = normalize_minmax(tensor)
-    tensor = impute_missing(tensor, seed)
+    seconds: dict[str, float] = {}
+    with _timed(seconds, "load"):
+        tensor = _load(args.input)
+        if args.genes_limit is not None:
+            tensor = limit_genes(tensor, args.genes_limit)
+    with _timed(seconds, "preprocess"):
+        if not args.no_normalize:
+            tensor = normalize_minmax(tensor)
+        tensor = impute_missing(tensor, seed)
     try:
         _check_dims(tensor.shape)
     except ValueError as exc:
@@ -346,9 +361,10 @@ def cmd_run(args) -> int:
     _check_reward(config.quality_weights, tensor.shape)
 
     out_dir = _out_dir(args.out)
-    started = time.monotonic()
-    archive = run_triea(tensor, config)
-    duration = time.monotonic() - started
+    with _timed(seconds, "mine"):
+        started = time.monotonic()
+        archive = run_triea(tensor, config)
+        duration = time.monotonic() - started
     for index, trace in enumerate(archive.runs, 1):
         bad = _non_finite_score(trace.records[-1].best)
         if bad is not None:
@@ -357,21 +373,22 @@ def cmd_run(args) -> int:
                 f"run {index} scored a non-finite {bad}; rescale the input values",
             )
 
-    _write_json(out_dir / "triclusters.json", _archive_payload(archive, tensor))
     runs = []
-    for index, trace in enumerate(archive.runs, 1):
-        _write_trace(out_dir / f"trace_{index}.csv", trace)
-        best = trace.records[-1].best
-        accepted = config.accepts(best)
-        runs.append({
-            "index": index,
-            "accepted": accepted,
-            "reason": None if accepted else "lsl",
-            "best_lsl": best.lsl,
-            "best_lsl_over_delta": _ratio(best.lsl, config.delta),
-            "evaluations": trace.evaluations,
-            "memo_hits": trace.memo_hits,
-        })
+    with _timed(seconds, "write"):
+        _write_json(out_dir / "triclusters.json", _archive_payload(archive, tensor))
+        for index, trace in enumerate(archive.runs, 1):
+            _write_trace(out_dir / f"trace_{index}.csv", trace)
+            best = trace.records[-1].best
+            accepted = config.accepts(best)
+            runs.append({
+                "index": index,
+                "accepted": accepted,
+                "reason": None if accepted else "lsl",
+                "best_lsl": best.lsl,
+                "best_lsl_over_delta": _ratio(best.lsl, config.delta),
+                "evaluations": trace.evaluations,
+                "memo_hits": trace.memo_hits,
+            })
     # A pipe or FIFO was drained by the load and cannot be read again.
     input_sha256 = None
     if os.path.isfile(args.input):
@@ -387,6 +404,7 @@ def cmd_run(args) -> int:
         "normalize": not args.no_normalize,
         "config": dataclasses.asdict(config),
         "duration_seconds": duration,
+        "seconds": seconds,
         "archive": {
             "count": len(archive),
             "mean_lsl": fmean(e.breakdown.lsl for e in archive) if archive else None,

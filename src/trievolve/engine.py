@@ -27,6 +27,7 @@ and scored once and later copies reuse its breakdown.  The memo dies with
 the run, because the next run sees a grown archive.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from statistics import fmean
 
@@ -48,15 +49,22 @@ from .quality import (
 )
 
 
-def _segments(bits: np.ndarray, dims: tuple[int, int, int]):
-    """The gene, condition and time views of one candidate's bits, or of each
-    row of a block: slices of the last axis."""
+def _edges(bits: np.ndarray, dims: tuple[int, int, int]) -> tuple[int, int]:
+    """Where the condition and time segments start along the last axis of
+    ``bits``; ValueError unless that axis is as long as the three segments."""
     x, y, z = dims
     if bits.shape[-1] != x + y + z:
         raise ValueError(
             f"bit string length {bits.shape[-1]} != sum of segments {tuple(dims)}"
         )
-    return bits[..., :x], bits[..., x : x + y], bits[..., x + y :]
+    return x, x + y
+
+
+def _segments(bits: np.ndarray, dims: tuple[int, int, int]):
+    """The gene, condition and time views of one candidate's bits, or of each
+    row of a block: slices of the last axis."""
+    c, t = _edges(bits, dims)
+    return bits[..., :c], bits[..., c:t], bits[..., t:]
 
 
 def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> np.ndarray:
@@ -71,14 +79,22 @@ def encode(coords: TriclusterCoords, dims: tuple[int, int, int]) -> np.ndarray:
 
 def decode(bits: np.ndarray, dims: tuple[int, int, int]) -> TriclusterCoords:
     """Set-bit indices per segment; requires a repaired candidate."""
-    indices = [tuple(seg.nonzero()[0].tolist()) for seg in _segments(bits, dims)]
-    if min(map(len, indices)) < 2:
+    c, t = _edges(bits, dims)
+    # One nonzero over the whole row, split where the segments start: the
+    # set positions come sorted, so each segment's are one run of them.
+    on = bits.nonzero()[0].tolist()
+    i = bisect_left(on, c)
+    j = bisect_left(on, t, i)
+    if min(i, j - i, len(on) - j) < 2:
         raise ValueError(
-            f"chromosome has segment sizes {tuple(map(len, indices))}; "
+            f"chromosome has segment sizes {(i, j - i, len(on) - j)}; "
             "repair must run first"
         )
-    # nonzero of a 1-D row yields sorted, unique, non-negative ints.
-    return TriclusterCoords._trusted(*indices)
+    conditions = tuple([k - c for k in on[i:j]])
+    times = tuple([k - t for k in on[j:]])
+    del on[i:]  # leaves the genes' run without copying it to a slice
+    # Sorted, unique, non-negative ints, as the coords must hold.
+    return TriclusterCoords._trusted(tuple(on), conditions, times)
 
 
 @dataclass(frozen=True)
@@ -238,20 +254,27 @@ def crossover(
     Every pair draws its coin, then every pair draws one cut per segment, so
     segment boundaries are never crossed.  A cut lies in ``[1, size)`` and
     swaps the segment's tail from the cut on; a 1-wide segment's cut is 1,
-    past its end, so it never swaps.  Offspring are fresh arrays either way
-    and are not repaired here.
+    past its end, so it never swaps.  One mask over the whole row marks
+    every segment's tail at once, and one xor swaps them.  Offspring are
+    fresh arrays either way and are not repaired here.
     """
     o1, o2 = p1.copy(), p2.copy()
     # The copies are contiguous, so their 2-D reshapes are views.
-    segs1, segs2 = (_segments(o.reshape(-1, o.shape[-1]), dims) for o in (o1, o2))
+    rows1, rows2 = (o.reshape(-1, o.shape[-1]) for o in (o1, o2))
+    c, t = _edges(rows1, dims)
+    _edges(rows2, dims)
     if o1.shape != o2.shape:
         raise ValueError(f"parents of shapes {p1.shape} and {p2.shape} do not pair")
-    coins = rng.random(len(segs1[0])) < p_c
-    cuts = rng.integers(1, np.maximum(dims, 2), size=(len(segs1[0]), 3))
-    for s1, s2, cut in zip(segs1, segs2, cuts.T):
-        d = (s1 ^ s2) & coins[:, None] & (np.arange(s1.shape[1]) >= cut[:, None])
-        s1 ^= d
-        s2 ^= d
+    coins = rng.random(len(rows1)) < p_c
+    cuts = rng.integers(1, np.maximum(dims, 2), size=(len(rows1), 3))
+    # Each segment's cut as a row position, repeated over the segment's
+    # width; a fresh sum, so the drawn cuts stay as drawn.
+    starts = np.repeat(cuts + (0, c, t), dims, axis=1)
+    swap = np.arange(rows1.shape[1]) >= starts
+    swap &= coins[:, None]
+    swap &= rows1 ^ rows2
+    rows1 ^= swap
+    rows2 ^= swap
     return o1, o2
 
 
@@ -279,10 +302,9 @@ def repair(bits: np.ndarray, dims: tuple[int, int, int], rng) -> np.ndarray:
     # an empty one as the next segment's first bit.
     _check_dims(dims)
     rows = bits.reshape(-1, bits.shape[-1])
-    _segments(rows, dims)  # for its length check
-    x, y, _ = dims
+    c, t = _edges(rows, dims)
     # One call counts every row's set bits per segment (bool sums to int).
-    counts = np.add.reduceat(rows, (0, x, x + y), axis=1)
+    counts = np.add.reduceat(rows, (0, c, t), axis=1)
     short = np.flatnonzero(counts.min(axis=1) < 2)
     if not short.size:
         return bits

@@ -207,12 +207,14 @@ def _subtensor(values: np.ndarray, coords: TriclusterCoords) -> np.ndarray:
     n_g, n_c, n_t = values.shape
     genes, conditions, times = coords.genes, coords.conditions, coords.times
     rows = values.reshape(n_g, n_c * n_t)
-    # fromiter converts the tuple about twice as fast as take's own path.
+    # fromiter converts a tuple about twice as fast as take's own path.
     gene_rows = np.fromiter(genes, np.intp, len(genes))
     if len(conditions) == n_c and len(times) == n_t:
         block = rows.take(gene_rows, 0)
     else:
-        columns = np.add.outer(np.multiply(conditions, n_t), times).ravel()
+        kept_c = np.fromiter(conditions, np.intp, len(conditions))
+        kept_t = np.fromiter(times, np.intp, len(times))
+        columns = np.add.outer(np.multiply(kept_c, n_t), kept_t).ravel()
         if n_g * columns.size <= len(genes) * n_c * n_t:
             block = rows.take(columns, 1).take(gene_rows, 0)
         else:
@@ -243,24 +245,37 @@ def _block(tensor, coords: TriclusterCoords | None) -> _Block:
     # ``_c_einsum`` is the C function ``np.einsum`` returns from when no
     # optimize path is asked for: the same sums, bit for bit, without the
     # dispatch and wrapper in front of it.
-    sums = (_c_einsum(f"gct->{axes}", sub) for axes in ("gc", "gt", "ct"))
-    return _Block(sub, *sums)
+    return _Block(
+        sub,
+        _c_einsum("gct->gc", sub),
+        _c_einsum("gct->gt", sub),
+        _c_einsum("gct->ct", sub),
+    )
 
 
 def _residual(b: _Block) -> np.ndarray:
     # The residue x - m_gc - m_gt - m_ct + m_g + m_c + m_t - m, formed in
     # place in the block's gather: the single-axis means and the grand mean
     # are folded into the three pairwise means, one subtraction per pair.
+    # The pairwise means are fresh arrays, so the folds run in place in
+    # them, in the order ``(m_gc - m_g)``, ``(m_gt - m_t)`` and ``(m_ct -
+    # m_c) + m``; the block's sums stay as they are for ``lsl``.
     n_g, n_c, n_t = b.sub.shape
-    m_gc, m_gt, m_ct = b.s_gc / n_t, b.s_gt / n_c, b.s_ct / n_g
+    m_gc = np.true_divide(b.s_gc, n_t)
+    m_gt = np.true_divide(b.s_gt, n_c)
+    m_ct = np.true_divide(b.s_ct, n_g)
     # The ufuncs are called directly: ``ndarray.sum`` and ``-=`` wrap the
     # same calls in more Python.
     m_g = _c_einsum("gc->g", m_gc) / n_c
     m_c, m_t = np.add.reduce(m_ct, 1) / n_t, np.add.reduce(m_ct, 0) / n_c
+    np.subtract(m_gc, m_g[:, None], out=m_gc)
+    np.subtract(m_gt, m_t, out=m_gt)
+    np.subtract(m_ct, m_c[:, None], out=m_ct)
+    np.add(m_ct, np.add.reduce(m_t) / n_t, out=m_ct)
     r = b.sub
-    np.subtract(r, (m_gc - m_g[:, None])[:, :, None], out=r)
-    np.subtract(r, (m_gt - m_t)[:, None, :], out=r)
-    np.subtract(r, m_ct - m_c[:, None] + np.add.reduce(m_t) / n_t, out=r)
+    np.subtract(r, m_gc[:, :, None], out=r)
+    np.subtract(r, m_gt[:, None, :], out=r)
+    np.subtract(r, m_ct, out=r)
     return r
 
 
@@ -274,23 +289,29 @@ def msr3d(tensor, coords: TriclusterCoords | None = None) -> float:
     return float(_c_einsum("gct,gct->", r, r)) / r.size
 
 
-def _slopes(ys: np.ndarray, replication: int) -> np.ndarray:
-    # With x centred, (n*sum_xy - sum_x*sum_y) / (n*sum_xx - sum_x**2) is
-    # ys @ xc / (replication * xc @ xc); paper-literal drops replication.
-    # xc holds exact halves or integers, so xc @ xc is the exact sum of
-    # squares n * (n*n - 1) / 12, which that closed form gives bit for bit.
-    n = ys.shape[1]
-    xc = np.arange(-(n - 1) / 2, n / 2)
-    return _c_einsum("lx,x->l", ys, xc) / (replication * (n * (n * n - 1) / 12))
+def _centred(n: int) -> tuple[np.ndarray, float]:
+    """The centred positions 0..n-1 and their sum of squares.  They hold
+    exact halves or integers, so the closed form n * (n*n - 1) / 12 is
+    ``xc @ xc`` bit for bit."""
+    return np.arange(-(n - 1) / 2, n / 2), n * (n * n - 1) / 12
 
 
 def _view_slopes(b: _Block, ols: bool) -> tuple[np.ndarray, ...]:
     """The slopes of the time, condition and gene views, in that order (see
     ``lsl``); each line's y is summed over the view's replication axis, whose
     length scales the OLS slope and is dropped for paper-literal ones."""
+    # With x centred, (n*sum_xy - sum_x*sum_y) / (n*sum_xx - sum_x**2) is
+    # ys @ xc / (replication * xc @ xc).  The time and condition views both
+    # fit over gene positions, so they share one xc.
     n_g, n_c, n_t = b.sub.shape
-    views = ((b.s_gt.T, n_c), (b.s_gc.T, n_t), (b.s_ct, n_g))
-    return tuple(_slopes(ys, replication if ols else 1) for ys, replication in views)
+    x_g, ss_g = _centred(n_g)
+    x_t, ss_t = _centred(n_t)
+    r_c, r_t, r_g = (n_c, n_t, n_g) if ols else (1, 1, 1)
+    return (
+        _c_einsum("lx,x->l", b.s_gt.T, x_g) / (r_c * ss_g),
+        _c_einsum("lx,x->l", b.s_gc.T, x_g) / (r_t * ss_g),
+        _c_einsum("lx,x->l", b.s_ct, x_t) / (r_g * ss_t),
+    )
 
 
 def _mean_pairwise_distance(s: np.ndarray) -> float:

@@ -194,6 +194,20 @@ class TestRun:
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
 
+    def test_manifest_seconds_per_step(self, dataset_csv, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "run", "--input", str(dataset_csv), "--out", str(out),
+            "--seed", "3", "--generations", "2", "--n-triclusters", "1",
+        ])
+        assert code == 0
+        manifest = read_json(out / "manifest.json")
+        seconds = manifest["seconds"]
+        assert list(seconds) == ["load", "preprocess", "mine", "write"]
+        assert all(type(s) is float and s >= 0.0 for s in seconds.values())
+        assert manifest["duration_seconds"] >= 0.0
+        assert list(manifest).index("seconds") == list(manifest).index("duration_seconds") + 1
+
     def test_pipe_input_digest_null(self, dataset_csv, tmp_path):
         # The load drains the pipe; hashing it again would read zero bytes.
         out = tmp_path / "out"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -53,6 +54,24 @@ class TestChromosome:
         assert segment_counts(ch, (5, 5, 5)) == (3, 2, 3)
 
 
+def decode_per_segment(bits, dims) -> TriclusterCoords:
+    """decode as one nonzero per segment and the checked constructor."""
+    return TriclusterCoords(*(seg.nonzero()[0].tolist() for seg in _segments(bits, dims)))
+
+
+def crossover_per_segment(p1, p2, dims, p_c, rng):
+    """crossover as one tail swap per segment, with the same draws."""
+    o1, o2 = p1.copy(), p2.copy()
+    segs1, segs2 = (_segments(o.reshape(-1, o.shape[-1]), dims) for o in (o1, o2))
+    coins = rng.random(len(segs1[0])) < p_c
+    cuts = rng.integers(1, np.maximum(dims, 2), size=(len(segs1[0]), 3))
+    for s1, s2, cut in zip(segs1, segs2, cuts.T):
+        d = (s1 ^ s2) & coins[:, None] & (np.arange(s1.shape[1]) >= cut[:, None])
+        s1 ^= d
+        s2 ^= d
+    return o1, o2
+
+
 class TestDecodeEncode:
     def test_reference_genotype(self):
         ch = bits_from("10110|10001|11001")
@@ -82,6 +101,39 @@ class TestDecodeEncode:
     def test_encode_bounds(self):
         with pytest.raises(IndexError):
             encode(TriclusterCoords((0, 9), (0, 1), (0, 1)), (5, 4, 3))
+
+    def test_single_split_matches_per_segment_form(self, rng):
+        # Rows whose segments hold random bits, exactly 2 random bits, or
+        # exactly their first and last bit, so every segment edge (0, x-1,
+        # x, x+y-1, x+y and the last bit) is set in some row.
+        for _ in range(300):
+            dims = tuple(int(n) for n in rng.integers(2, 9, size=3))
+            bits = np.zeros(sum(dims), bool)
+            for seg in _segments(bits, dims):
+                kind = rng.integers(3)
+                if kind == 0:
+                    seg[:] = rng.random(seg.size) < 0.5
+                elif kind == 1:
+                    seg[rng.choice(seg.size, size=2, replace=False)] = True
+                else:
+                    seg[[0, -1]] = True
+            short = min(segment_counts(bits, dims)) < 2
+            if short:
+                with pytest.raises(ValueError, match="repair must run first"):
+                    decode(bits, dims)
+                bits = repair(bits, dims, rng)
+            got, want = decode(bits, dims), decode_per_segment(bits, dims)
+            assert got == want and got.to_dict() == want.to_dict()
+
+    def test_short_segment_and_wrong_length_rejected(self):
+        dims = (4, 3, 5)
+        for short in ("1100|110|10000", "1100|100|11000", "0001|110|11000",
+                      "1111|000|11111", "1111|111|00001"):
+            with pytest.raises(ValueError, match="repair must run first"):
+                decode(bits_from(short), dims)
+        for length in (11, 13):
+            with pytest.raises(ValueError, match="bit string length"):
+                decode(np.ones(length, bool), dims)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -273,6 +325,49 @@ class TestCrossover:
             r1, r2 = crossover(a, b, dims, 0.5, one_pair)
             np.testing.assert_array_equal(r1, o1[r])
             np.testing.assert_array_equal(r2, o2[r])
+
+    def test_one_mask_matches_per_segment_swaps(self):
+        # Pairs of random blocks, of single rows and of no rows, over dims
+        # with 1-wide and 2-wide segments, at every coin outcome: the
+        # children's bytes and the draws made must match the per-segment
+        # form's.
+        data = np.random.default_rng(29)
+        widths = (1, 2, 3, 7)
+        for dims in product(widths, repeat=3):
+            for shape in ((), (0,), (1,), (6,)):
+                for p_c in (0.0, 0.5, 1.0):
+                    a = data.random((*shape, sum(dims))) < 0.5
+                    b = data.random((*shape, sum(dims))) < 0.5
+                    seed = int(data.integers(2**32))
+                    rng, oracle = (np.random.default_rng(seed) for _ in range(2))
+                    got = crossover(a, b, dims, p_c, rng)
+                    want = crossover_per_segment(a, b, dims, p_c, oracle)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+                    assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_drawn_cuts_left_as_drawn(self):
+        class StoredRng:
+            def __init__(self, coins, cuts):
+                self.coins, self.cuts = coins, cuts
+
+            def random(self, size):
+                return self.coins
+
+            def integers(self, low, high, size):
+                return self.cuts
+
+        dims = (5, 2, 3)
+        rng = np.random.default_rng(3)
+        a, b = rng.random((4, 10)) < 0.5, rng.random((4, 10)) < 0.5
+        coins = np.array([0.0, 0.9, 0.2, 0.1])
+        cuts = np.array([[1, 1, 2], [3, 1, 1], [4, 1, 1], [2, 1, 2]])
+        before = cuts.copy()
+        got = crossover(a, b, dims, 0.5, StoredRng(coins, cuts))
+        assert cuts.tobytes() == before.tobytes()
+        want = crossover_per_segment(a, b, dims, 0.5, StoredRng(coins, before))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_mismatched_parents_rejected(self, rng):
         p1 = np.ones(6, bool)

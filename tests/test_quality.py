@@ -350,13 +350,13 @@ class TestViewSlopes:
             lsl(values, thin_times)
 
     def test_centred_positions_and_closed_form_sum_of_squares(self):
-        # _slopes builds the centred x positions with one arange and takes
+        # _centred builds the centred x positions with one arange and takes
         # xc @ xc from its closed form; both must equal the direct forms
         # bit for bit at every line length.
         for n in range(2, 5001):
-            xc = np.arange(-(n - 1) / 2, n / 2)
+            xc, squares = quality._centred(n)
             assert xc.tobytes() == (np.arange(n) - (n - 1) / 2).tobytes(), n
-            assert n * (n * n - 1) / 12 == float(xc @ xc), n
+            assert squares == float(xc @ xc), n
 
     def test_unknown_axis_and_mode(self):
         # The view names live only in the oracle, which must refuse a name it
@@ -664,6 +664,28 @@ class TestFitness:
     def test_roundtrips_through_dict(self):
         b = FitnessBreakdown.compose(1.5, 0.25, 0.6, 0.05)
         assert FitnessBreakdown(**b.to_dict()) == b
+
+    # Shapes with a 2-wide axis, the narrowest a candidate can hold.
+    @pytest.mark.parametrize("shape", [(2, 5, 7), (9, 2, 6), (8, 4, 2), (30, 2, 14)])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_msr_keeps_the_block_sums_lsl_reads(self, shape, offset):
+        # _residual folds the pairwise means in place; it must fold them in
+        # fresh arrays, never in the block's sums, which lsl reads after
+        # msr3d.  So fitness matches both scored on their own fresh gathers.
+        rng = np.random.default_rng(29)
+        values = rng.random(tuple(n + 3 for n in shape)) + offset
+        for mode in MODES:
+            for _ in range(10):
+                coords = TriclusterCoords(*(
+                    rng.choice(n + 3, size=n, replace=False) for n in shape
+                ))
+                block = _block(values, coords)
+                sums = [a.tobytes() for a in block[1:]]
+                msr3d(block)
+                assert [a.tobytes() for a in block[1:]] == sums
+                b = fitness(values, coords, QualityWeights(), mode=mode)
+                assert b.msr == msr3d(values, coords)
+                assert b.lsl == lsl(values, coords, mode)
 
 
 class TestEinsumEntry:
